@@ -6,12 +6,20 @@ are strictly triangular under the canonical causal-topological order; their
 Boolean power series (transitive closure) therefore terminates, and the
 functor equations compare closures conjugated through the conversion
 matrices P_S and P_E.
+
+``evaluate_conversion`` does not build P_S and P_E.  Both are functions, so
+conjugating a closure through P_S relabels its entries and the who equation
+compares one performer set per column; both read the per-log index that a
+``CauseMatrices`` derives once (index maps, closures, performers).  The
+matrix-form ``conversion_pair`` / ``check_*`` functions compute the same
+rules from the matrices and are the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError, NotTriangularError
 from .model import (
@@ -21,6 +29,14 @@ from .model import (
     canonical_action_order,
     canonical_participant_order,
 )
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -64,10 +80,8 @@ class BoolMatrix:
 
     def entries(self) -> Iterator[tuple[int, int]]:
         for i, bits in enumerate(self.rows):
-            while bits:
-                low = bits & -bits
-                yield i, low.bit_length() - 1
-                bits ^= low
+            for j in _bits(bits):
+                yield i, j
 
     def entry_ids(self) -> list[tuple[str, str]]:
         return [(self.row_ids[i], self.col_ids[j]) for i, j in self.entries()]
@@ -112,15 +126,6 @@ class BoolMatrix:
             and self.rows == other.rows
         )
 
-    def equals_on(self, other: "BoolMatrix", indices: Iterable[int]) -> bool:
-        mask = 0
-        idx = list(indices)
-        for j in idx:
-            mask |= 1 << j
-        return all(
-            (self.rows[i] & mask) == (other.rows[i] & mask) for i in idx
-        )
-
     def column_mask(self, j: int) -> int:
         return sum((row >> j & 1) << i for i, row in enumerate(self.rows))
 
@@ -154,6 +159,61 @@ class CauseMatrices:
     S_tri: BoolMatrix
     N_tri: BoolMatrix
     E: BoolMatrix  # participants x actions; E[p, a] = 1 iff who(a) = p
+
+    # -- per-log index, derived on first use ---------------------------------
+    # Never refreshed: edit the matrices above only before first use.  The
+    # matrix-form reference functions do not read it and recompute from the
+    # matrices, so they stay valid after in-place edits.
+
+    @cached_property
+    def action_index(self) -> dict[str, int]:
+        return {aid: i for i, aid in enumerate(self.action_ids)}
+
+    @cached_property
+    def participant_index(self) -> dict[str, int]:
+        return {pid: i for i, pid in enumerate(self.participant_ids)}
+
+    @cached_property
+    def closure_S(self) -> BoolMatrix:
+        """Closure of S | N_tri: the pastward side of the causal equations."""
+        return causal_closure(self.S | self.N_tri, allow_cycles=True)
+
+    @cached_property
+    def closure_N(self) -> BoolMatrix:
+        """Closure of N | S_tri: the futureward side of the causal equations."""
+        return causal_closure(self.N | self.S_tri, allow_cycles=True)
+
+    @cached_property
+    def future(self) -> BoolMatrix:
+        """Closure of N | S^T: row i holds every transitive effect of i."""
+        return causal_closure(self.N | self.S.transpose(), allow_cycles=True)
+
+    @cached_property
+    def performer(self) -> tuple[int, ...]:
+        """Participant index of each action's performer; -1 when ``who``
+        names an action (nominalized) rather than a participant."""
+        out = [-1] * len(self.action_ids)
+        for p, a in self.E.entries():
+            out[a] = p
+        return tuple(out)
+
+    @cached_property
+    def tri_pairs(self) -> frozenset[tuple[str, str]]:
+        """(be done, do) id pairs of S_tri."""
+        return frozenset(self.S_tri.entry_ids())
+
+    @cached_property
+    def core_masks(self) -> tuple[int, int]:
+        """Bitmasks of the non-sentinel actions and participants."""
+        actions = sum(
+            1 << i for i, aid in enumerate(self.action_ids)
+            if aid not in SENTINEL_ACTIONS
+        )
+        parts = sum(
+            1 << i for i, pid in enumerate(self.participant_ids)
+            if pid != SENTINEL_NOBODY
+        )
+        return actions, parts
 
 
 @dataclass
@@ -355,7 +415,7 @@ def check_who_equation(
     converted = p.P_E @ e.E @ p.P_S.transpose()
     image = _image_indices(p.P_S)
     mismatches = []
-    for j in image:
+    for j in sorted(image):
         if converted.column_mask(j) != s.E.column_mask(j):
             for i in range(len(s.participant_ids)):
                 if converted.get(i, j) != s.E.get(i, j):
@@ -415,17 +475,18 @@ def check_function_rules(
     return is_function, zero_ok, surjective, injective
 
 
-def _trivial_pairs_preserved(
-    e: CauseMatrices, s: CauseMatrices, action_map: dict[str, str]
-) -> bool:
-    s_tri_pairs = {(a, b) for a, b in s.S_tri.entry_ids()}
-    for a, b in e.S_tri.entry_ids():
-        fa, fb = action_map.get(a), action_map.get(b)
-        if fa is None or fb is None or fa == fb:
-            continue
-        if (fa, fb) not in s_tri_pairs:
-            return False
-    return True
+def _relabel(closure: BoolMatrix, f: dict[int, int], size: int) -> list[int]:
+    """Rows of P_S @ closure @ P_S^T for the function f (e index -> s index):
+    entry (f(u), f(v)) is set iff closure[u, v] for mapped u and v."""
+    out = [0] * size
+    for u, fu in f.items():
+        acc = 0
+        for v in _bits(closure.rows[u]):
+            fv = f.get(v)
+            if fv is not None:
+                acc |= 1 << fv
+        out[fu] |= acc
+    return out
 
 
 def evaluate_conversion(
@@ -434,22 +495,84 @@ def evaluate_conversion(
     action_map: dict[str, str],
     participant_map: dict[str, str],
 ) -> CompletenessReport:
-    """Run every completeness rule for the given object maps."""
-    p = conversion_pair(e, s, action_map, participant_map)
-    is_function, zero_ok, surjective, injective = check_function_rules(e, s, p)
-    eq_s, eq_n, causal_mism = check_causal_equations(e, s, p)
-    who_ok, who_mism = check_who_equation(e, s, p)
+    """Run every completeness rule for the given object maps.
+
+    Sentinel images are forced as in ``conversion_pair``.  The maps are
+    dicts, hence functions, so each matrix equation is evaluated on the
+    per-log indices of ``e`` and ``s`` by relabelling: the report equals the
+    one assembled from ``check_function_rules``, ``check_causal_equations``
+    and ``check_who_equation``.
+    """
+    full_amap = dict(action_map)
+    for sid in SENTINEL_ACTIONS:
+        full_amap.setdefault(sid, sid)
+    full_pmap = dict(participant_map)
+    full_pmap.setdefault(SENTINEL_NOBODY, SENTINEL_NOBODY)
+    ea, sa = e.action_index, s.action_index
+    ep, sp = e.participant_index, s.participant_index
+    f = {ea[x]: sa[y] for x, y in full_amap.items()}
+    g = {ep[x]: sp[y] for x, y in full_pmap.items()}
+
+    domain = image = 0
+    for u, fu in f.items():
+        domain |= 1 << u
+        image |= 1 << fu
+    part_domain = hit_parts = 0
+    for p, gp in g.items():
+        part_domain |= 1 << p
+        hit_parts |= 1 << gp
+    e_core_a, e_core_p = e.core_masks
+    s_core_a, s_core_p = s.core_masks
+
+    # zero-column rule: a mapped action needs a mapped participant performer
+    e_who = e.performer
+    zero_ok = all(e_who[u] in g for u in f)
+
+    s_ids = s.action_ids
+    causal: set[tuple[str, str]] = set()
+    eq_ok = []
+    for closure_e, closure_s in ((e.closure_S, s.closure_S), (e.closure_N, s.closure_N)):
+        rhs = _relabel(closure_e, f, len(s_ids))
+        ok = True
+        for i in _bits(image):
+            diff = (closure_s.rows[i] ^ rhs[i]) & image & ~(1 << i)
+            if diff:
+                ok = False
+                causal.update((s_ids[i], s_ids[j]) for j in _bits(diff))
+        eq_ok.append(ok)
+
+    # who equation: per mapped s-action, the performers of its preimages
+    converted = [0] * len(s_ids)
+    for u, fu in f.items():
+        gp = g.get(e_who[u])
+        if gp is not None:
+            converted[fu] |= 1 << gp
+    s_who = s.performer
+    who_mism = []
+    for j in _bits(image):
+        expected = 1 << s_who[j] if s_who[j] >= 0 else 0
+        for i in _bits(converted[j] ^ expected):
+            who_mism.append((s.participant_ids[i], s_ids[j]))
+
+    s_tri = s.tri_pairs
+    trivial_ok = True
+    for a, b in e.tri_pairs:
+        fa, fb = action_map.get(a), action_map.get(b)
+        if fa is not None and fb is not None and fa != fb and (fa, fb) not in s_tri:
+            trivial_ok = False
+            break
+
     return CompletenessReport(
-        is_function=is_function,
+        is_function=True,  # dict-valued maps send each object to one image
         zero_column_rule_ok=zero_ok,
-        surjective=surjective,
-        injective=injective,
-        causal_eq_S_ok=eq_s,
-        causal_eq_N_ok=eq_n,
-        who_eq_ok=who_ok,
-        causal_mismatches=causal_mism,
-        who_mismatches=who_mism,
-        trivial_pairs_preserved=_trivial_pairs_preserved(e, s, action_map),
+        surjective=s_core_a & ~image == 0 and s_core_p & ~hit_parts == 0,
+        injective=e_core_a & ~domain == 0 and e_core_p & ~part_domain == 0,
+        causal_eq_S_ok=eq_ok[0],
+        causal_eq_N_ok=eq_ok[1],
+        who_eq_ok=not who_mism,
+        causal_mismatches=tuple(sorted(causal)),
+        who_mismatches=tuple(who_mism),
+        trivial_pairs_preserved=trivial_ok,
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .belog import BeVerbType
 from .boolmat import dump_matrices
 from .errors import CognilogError, ParseError
 from .model import SLog, validate_category
@@ -85,19 +84,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """A flag value the parser accepted but the engine rejects (exit 2)."""
+
+
 def _config(args) -> SearchConfig:
     weights = (0.5, 0.25, 0.25)
-    if args.weights:
-        parts = args.weights.split(",")
-        if len(parts) != 3:
-            raise SystemExit(2)
-        weights = tuple(float(x) for x in parts)  # type: ignore[assignment]
-    return SearchConfig(
-        weights=weights,
-        min_compatibility=args.min_compat,
-        max_candidates=args.max_candidates,
-        composition_depth=args.depth,
-    )
+    try:
+        if args.weights:
+            parts = args.weights.split(",")
+            if len(parts) != 3:
+                raise ValueError("--weights takes three comma-separated numbers")
+            weights = tuple(float(x) for x in parts)  # type: ignore[assignment]
+        return SearchConfig(
+            weights=weights,
+            min_compatibility=args.min_compat,
+            max_candidates=args.max_candidates,
+            composition_depth=args.depth,
+        )
+    except ValueError as exc:
+        raise _UsageError(exc) from exc
 
 
 def _emit(rows: list[tuple[str, ...]], header: tuple[str, ...], fmt: str) -> None:
@@ -237,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _run(args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error at line {exc.line}, column {exc.column}: {exc.args[0]}",
               file=sys.stderr)

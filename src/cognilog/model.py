@@ -11,7 +11,7 @@ the reserved sentinel objects ``nothing``/``unknown`` (actions) and ``nobody``
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -211,32 +211,35 @@ def _do_member(a: Action, b: Action) -> str:
 
 
 def _find_cycle(edges: set[tuple[str, str]]) -> Optional[list[str]]:
+    """First cycle met by a depth-first search from each node in id order,
+    as a path that repeats its first node at the end; None when acyclic.
+
+    The search keeps its own stack of successor iterators, so chain length
+    is not bounded by the interpreter's recursion limit.
+    """
     adj: dict[str, list[str]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, [])
-    state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(node: str) -> Optional[list[str]]:
-        state[node] = 1
-        stack.append(node)
-        for nxt in adj[node]:
-            if state.get(nxt) == 1:
-                return stack[stack.index(nxt):] + [nxt]
-            if nxt not in state:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        state[node] = 2
-        return None
-
-    for node in sorted(adj):
-        if node not in state:
-            found = visit(node)
-            if found:
-                return found
+    state: dict[str, int] = {}  # 1 = on the current path, 2 = finished
+    for root in sorted(adj):
+        if root in state:
+            continue
+        state[root] = 1
+        path = [root]
+        pending = [iter(adj[root])]
+        while pending:
+            for nxt in pending[-1]:
+                if state.get(nxt) == 1:
+                    return path[path.index(nxt):] + [nxt]
+                if nxt not in state:
+                    state[nxt] = 1
+                    path.append(nxt)
+                    pending.append(iter(adj[nxt]))
+                    break
+            else:
+                pending.pop()
+                state[path.pop()] = 2
     return None
 
 
@@ -585,19 +588,4 @@ def extract_subepisode(log: ELog, objects: Iterable[str]) -> ELog:
     parts = [p for p in log.nonsentinel_participants if p.id in wanted]
     return _canonicalize(
         f"{log.id}#sub", actions, parts, slog=isinstance(log, SLog)
-    )
-
-
-def strip_provenance(log: ELog) -> ELog:
-    """Drop provenance attrs and the #sub id suffix (test/equality helper)."""
-    actions = [
-        replace(
-            a,
-            raw=replace(a.raw, attrs=tuple(kv for kv in a.raw.attrs if kv[0] != "parent")),
-        )
-        for a in log.nonsentinel_actions
-    ]
-    return _canonicalize(
-        log.id.split("#")[0], actions, log.nonsentinel_participants,
-        slog=isinstance(log, SLog),
     )

@@ -10,7 +10,8 @@ world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .belog import BeLog, BeVerbType, characteristics, is_member, mapping_compatibility
 from .errors import (
@@ -348,7 +349,7 @@ def _causal_clusters(e: ELog) -> list[frozenset[str]]:
     """Weakly-connected components of the non-sentinel cause graph; each
     cluster carries its actions plus their performers."""
     actions = {a.id: a for a in e.nonsentinel_actions}
-    _, edges = collapsed_cause_edges(actions)
+    unit, edges = collapsed_cause_edges(actions)
     parent = {aid: aid for aid in actions}
 
     def find(x: str) -> str:
@@ -360,7 +361,6 @@ def _causal_clusters(e: ELog) -> list[frozenset[str]]:
     def union(x: str, y: str) -> None:
         parent[find(x)] = find(y)
 
-    unit, _ = collapsed_cause_edges(actions)
     for aid, uid in unit.items():
         union(aid, uid)
     for u, v in edges:
@@ -584,7 +584,6 @@ def _chain_slogs(chain: list[SLog]) -> SLog:
             prev_terminal = term_id
         rank_offset = max_rank + 1
     # patch terminal cause-N arrows onto the following initial actions
-    patched: list[Action] = []
     by_id = {a.id: a for a in actions}
     for a in actions:
         if a.cause_s in by_id and by_id[a.cause_s].cause_n in SENTINEL_ACTIONS:
@@ -674,25 +673,27 @@ def plan(
 
 def _injective_assignments(
     classes: list[str], candidates: dict[str, list[str]]
-) -> list[dict[str, str]]:
-    out: list[dict[str, str]] = []
-
-    def rec(i: int, used: set[str], acc: dict[str, str]) -> None:
-        if i == len(classes):
-            out.append(dict(acc))
-            return
-        c = classes[i]
-        for w in candidates[c]:
-            if w in used:
-                continue
-            acc[c] = w
-            used.add(w)
-            rec(i + 1, used, acc)
-            used.discard(w)
-            del acc[c]
-
-    rec(0, set(), {})
-    return out
+) -> Iterator[dict[str, str]]:
+    """Injective class -> inhabitant assignments, depth first: the first
+    class varies slowest, each class tries its candidates in order."""
+    if not classes:
+        yield {}
+        return
+    chosen: list[str] = []
+    pending = [iter(candidates[classes[0]])]
+    while pending:
+        w = next((w for w in pending[-1] if w not in chosen), None)
+        if w is None:
+            pending.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(w)
+        if len(chosen) == len(classes):
+            yield dict(zip(classes, chosen))
+            chosen.pop()
+        else:
+            pending.append(iter(candidates[classes[len(chosen)]]))
 
 
 def _ground(assembled: SLog, assignment: dict[str, str], n: int) -> ELog:

@@ -10,16 +10,14 @@ thin-category reachability test decides natural transformations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from .belog import BeLog, mapping_compatibility
 from .boolmat import (
     CauseMatrices,
     CompletenessReport,
     adjacency,
-    causal_closure,
-    BoolMatrix,
     evaluate_conversion,
 )
 from .errors import SourceTargetMismatchError, TooLargeError
@@ -95,11 +93,24 @@ def identity_functor(log: ELog) -> Functor:
 def score_functor(
     functor: Functor, e: ELog, s: ELog, b: BeLog, cfg: SearchConfig,
     report: Optional[CompletenessReport] = None,
+    *,
+    matrices: Optional[tuple[CauseMatrices, CauseMatrices]] = None,
+    compat: Optional[Callable[[str, str], float]] = None,
 ) -> Score:
-    """Deterministic score: structure, temporal consistency, similarity."""
+    """Deterministic score: structure, temporal consistency, similarity.
+
+    ``matrices`` (the adjacency of ``e`` and ``s``) and ``compat`` (a
+    memoized ``mapping_compatibility`` over ``b``) let a caller scoring many
+    functors reuse what it has already derived; the score is the same.
+    """
+    if matrices is None:
+        matrices = (adjacency(e), adjacency(s))
+    if compat is None:
+        def compat(x: str, y: str) -> float:
+            return mapping_compatibility(b, x, y)
     if report is None:
         report = evaluate_conversion(
-            adjacency(e), adjacency(s), functor.action_map, functor.participant_map
+            *matrices, functor.action_map, functor.participant_map
         )
     hard = report.hard_checks()
     n_e = len(e.nonsentinel_actions) + len(e.nonsentinel_participants)
@@ -109,13 +120,15 @@ def score_functor(
     coverage = 1.0 if n_e + n_s == 0 else (mapped + hit) / (n_e + n_s)
     structural = (sum(hard) / len(hard)) * coverage
 
-    temporal = check_temporal_consistency(e, s, functor).consistency_fraction
+    temporal = check_temporal_consistency(
+        e, s, functor, matrices
+    ).consistency_fraction
 
     pairs = list(functor.action_map.items()) + list(functor.participant_map.items())
     similarity = (
         1.0
         if not pairs
-        else sum(mapping_compatibility(b, x, y) for x, y in pairs) / len(pairs)
+        else sum(compat(x, y) for x, y in pairs) / len(pairs)
     )
     w1, w2, w3 = cfg.weights
     total = w1 * structural + w2 * temporal + w3 * similarity
@@ -255,30 +268,27 @@ def search_functors(
 
     # pruning tables: an e-side causal closure entry must land on an s-side
     # closure entry (or collapse onto an identity)
-    closure_e_S = causal_closure(e_m.S | e_m.N_tri, allow_cycles=True)
-    closure_e_N = causal_closure(e_m.N | e_m.S_tri, allow_cycles=True)
-    closure_s_S = causal_closure(s_m.S | s_m.N_tri, allow_cycles=True)
-    closure_s_N = causal_closure(s_m.N | s_m.S_tri, allow_cycles=True)
-
-    def rel(closure: BoolMatrix, ids: tuple[str, ...], x: str, y: str) -> bool:
-        return closure.get(ids.index(x), ids.index(y))
+    e_index, s_index = e_m.action_index, s_m.action_index
+    closures = (
+        (e_m.closure_S.rows, s_m.closure_S.rows),
+        (e_m.closure_N.rows, s_m.closure_N.rows),
+    )
 
     results: dict[tuple, tuple[Functor, Score]] = {}
 
     def consistent_with(
         x: str, y: str, amap: dict[str, str]
     ) -> bool:
+        xi, yi = e_index[x], s_index[y]
         for z, fz in amap.items():
-            for closure_e, closure_s in (
-                (closure_e_S, closure_s_S),
-                (closure_e_N, closure_s_N),
-            ):
-                if rel(closure_e, e_m.action_ids, x, z) and fz != y:
-                    if not rel(closure_s, s_m.action_ids, y, fz):
-                        return False
-                if rel(closure_e, e_m.action_ids, z, x) and fz != y:
-                    if not rel(closure_s, s_m.action_ids, fz, y):
-                        return False
+            if fz == y:
+                continue
+            zi, fzi = e_index[z], s_index[fz]
+            for closure_e, closure_s in closures:
+                if closure_e[xi] >> zi & 1 and not closure_s[yi] >> fzi & 1:
+                    return False
+                if closure_e[zi] >> xi & 1 and not closure_s[fzi] >> yi & 1:
+                    return False
         return True
 
     def finalize(amap: dict[str, str], pmap: dict[str, str]) -> None:
@@ -300,7 +310,10 @@ def search_functors(
             if key not in results:
                 results[key] = (
                     functor,
-                    score_functor(functor, e, s, b, cfg, report=report),
+                    score_functor(
+                        functor, e, s, b, cfg, report=report,
+                        matrices=(e_m, s_m), compat=compat,
+                    ),
                 )
 
     def backtrack(i: int, amap: dict[str, str], pmap: dict[str, str]) -> None:

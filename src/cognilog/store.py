@@ -19,7 +19,6 @@ from .model import (
     Kind,
     Participant,
     RawData,
-    SENTINELS,
     SLog,
     build_elog,
 )

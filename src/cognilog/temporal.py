@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, TYPE_CHECKING
 
+from .boolmat import CauseMatrices, adjacency
 from .errors import MissingTimestampError
 from .model import ELog, SENTINEL_ACTIONS
 
@@ -100,72 +101,56 @@ class TemporalReport:
         return 1.0 if total == 0 else self.consistent_pairs / total
 
 
-def _future_reachability(log: ELog) -> dict[str, set[str]]:
-    """cause -> set of (transitive) effects, over non-sentinel arrows."""
-    succ: dict[str, set[str]] = {a.id: set() for a in log.nonsentinel_actions}
-    for a in log.nonsentinel_actions:
-        if a.cause_s in succ and a.cause_s != a.id:
-            succ[a.cause_s].add(a.id)
-        if a.cause_n in succ and a.cause_n != a.id:
-            succ[a.id].add(a.cause_n)
-    reach: dict[str, set[str]] = {node: set(nxt) for node, nxt in succ.items()}
-    changed = True
-    while changed:  # plain fixpoint; cycles (trivial pairs) are fine
-        changed = False
-        for node in reach:
-            acc = set(reach[node])
-            for nxt in reach[node]:
-                acc |= reach[nxt]
-            if acc != reach[node]:
-                reach[node] = acc
-                changed = True
-    return reach
-
-
 def check_temporal_consistency(
-    e: ELog, s: ELog, functor: "Functor"
+    e: ELog,
+    s: ELog,
+    functor: "Functor",
+    matrices: Optional[tuple[CauseMatrices, CauseMatrices]] = None,
 ) -> TemporalReport:
     """Verify that causal order survives the functor.
 
     For every e-log pair (cause, effect) whose images are causally related in
     the s-log, the s-side relation must point the same way and the s-side
     ranks must not decrease.  Pairs with missing timestamps on either side are
-    indeterminate.
+    indeterminate.  Causal order is the future reachability of the logs'
+    adjacency; ``matrices`` passes the adjacency of ``e`` and ``s`` when the
+    caller already has it.
     """
     amap = functor.action_map
-    e_reach = _future_reachability(e)
-    s_reach = _future_reachability(s)
+    e_m, s_m = matrices if matrices is not None else (adjacency(e), adjacency(s))
+    e_ids = e_m.action_ids
+    s_index, s_future = s_m.action_index, s_m.future.rows
     s_actions = s.action_by_id
 
     violations: list[tuple[str, str]] = []
     consistent = 0
     indeterminate = 0
-    for cause, effects in sorted(e_reach.items()):
-        for effect in sorted(effects):
-            fc, fx = amap.get(cause), amap.get(effect)
-            if fc is None or fx is None or fc in SENTINEL_ACTIONS or fx in SENTINEL_ACTIONS:
-                continue
-            if fc == fx:
-                consistent += 1
-                continue
-            forward = fx in s_reach.get(fc, set())
-            backward = fc in s_reach.get(fx, set())
-            if not forward and not backward:
-                continue  # images unrelated: order may be swapped freely
-            if backward and not forward:
-                violations.append((cause, effect))
-                continue
-            rc = s_actions[fc].t_start
-            rx = s_actions[fx].t_start
-            tc = e.action_by_id[cause].t_start
-            tx = e.action_by_id[effect].t_start
-            if rc is None or rx is None or tc is None or tx is None:
-                indeterminate += 1
-                continue
-            if tc <= tx and rc <= rx:
-                consistent += 1
-            else:
-                violations.append((cause, effect))
+    for cause, effect in sorted((e_ids[i], e_ids[j]) for i, j in e_m.future.entries()):
+        fc, fx = amap.get(cause), amap.get(effect)
+        if fc is None or fx is None or fc in SENTINEL_ACTIONS or fx in SENTINEL_ACTIONS:
+            continue
+        if fc == fx:
+            consistent += 1
+            continue
+        ci, xi = s_index[fc], s_index[fx]
+        forward = s_future[ci] >> xi & 1
+        backward = s_future[xi] >> ci & 1
+        if not forward and not backward:
+            continue  # images unrelated: order may be swapped freely
+        if backward and not forward:
+            violations.append((cause, effect))
+            continue
+        rc = s_actions[fc].t_start
+        rx = s_actions[fx].t_start
+        tc = e.action_by_id[cause].t_start
+        tx = e.action_by_id[effect].t_start
+        if rc is None or rx is None or tc is None or tx is None:
+            indeterminate += 1
+            continue
+        if tc <= tx and rc <= rx:
+            consistent += 1
+        else:
+            violations.append((cause, effect))
 
     return TemporalReport(
         ok=not violations,

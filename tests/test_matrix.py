@@ -1,19 +1,23 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from cognilog.boolmat import (
     BoolMatrix,
+    CompletenessReport,
     adjacency,
     causal_closure,
     causal_closure_with_stats,
     check_causal_equations,
+    check_function_rules,
+    check_who_equation,
     conversion_pair,
     dump_matrices,
     evaluate_conversion,
 )
 from cognilog.errors import DimensionMismatchError, NotTriangularError
-from cognilog.model import Action, Participant, build_elog
+from cognilog.model import Action, ELog, Participant, SLog, build_elog
 
 from conftest import load_log, random_elog
 
@@ -187,3 +191,106 @@ def test_dump_matrices_shape():
     assert lines[0] == "M S 4x4"
     assert "M E 3x4" in lines
     assert text.endswith("\n")
+
+
+# -- per-log index against the matrix-form reference ------------------------
+
+
+def _reference_report(e_m, s_m, amap, pmap):
+    """The completeness report assembled from the matrix-form functions."""
+    p = conversion_pair(e_m, s_m, amap, pmap)
+    is_function, zero_ok, surjective, injective = check_function_rules(e_m, s_m, p)
+    eq_s, eq_n, causal = check_causal_equations(e_m, s_m, p)
+    who_ok, who = check_who_equation(e_m, s_m, p)
+    s_tri = set(s_m.S_tri.entry_ids())
+    trivial_ok = all(
+        amap.get(a) is None or amap.get(b) is None or amap[a] == amap[b]
+        or (amap[a], amap[b]) in s_tri
+        for a, b in e_m.S_tri.entry_ids()
+    )
+    return CompletenessReport(
+        is_function, zero_ok, surjective, injective, eq_s, eq_n, who_ok,
+        causal, who, trivial_ok,
+    )
+
+
+def _nominalize(rng, log):
+    """Re-point some performers at actions (action-as-noun who arrows)."""
+    ids = [a.id for a in log.nonsentinel_actions]
+    actions = tuple(
+        replace(a, who=rng.choice(ids)) if rng.random() < 0.3 else a
+        for a in log.nonsentinel_actions
+    )
+    return build_elog(
+        log.id, actions, log.nonsentinel_participants, slog=isinstance(log, SLog)
+    )
+
+
+def _future_fixpoint(log: ELog) -> dict[str, set[str]]:
+    """cause -> transitive effects over non-sentinel arrows, by set fixpoint."""
+    succ: dict[str, set[str]] = {a.id: set() for a in log.nonsentinel_actions}
+    for a in log.nonsentinel_actions:
+        if a.cause_s in succ and a.cause_s != a.id:
+            succ[a.cause_s].add(a.id)
+        if a.cause_n in succ and a.cause_n != a.id:
+            succ[a.id].add(a.cause_n)
+    reach = {node: set(nxt) for node, nxt in succ.items()}
+    changed = True
+    while changed:
+        changed = False
+        for node in reach:
+            acc = set(reach[node])
+            for nxt in reach[node]:
+                acc |= reach[nxt]
+            if acc != reach[node]:
+                reach[node] = acc
+                changed = True
+    return reach
+
+
+def _random_pair(rng):
+    e = random_elog(rng, max_actions=8, log_id="e")
+    s = random_elog(rng, max_actions=8, slog=True, log_id="s")
+    if rng.random() < 0.3:
+        e = _nominalize(rng, e)
+    if rng.random() < 0.3:
+        s = _nominalize(rng, s)
+    return e, s
+
+
+def test_evaluate_conversion_equals_matrix_reference():
+    rng = random.Random(31)
+    for _ in range(600):
+        e, s = _random_pair(rng)
+        e_m, s_m = adjacency(e), adjacency(s)
+        s_actions, s_parts = s_m.action_ids, s_m.participant_ids
+        # partial maps; images may be sentinels
+        amap = {
+            a.id: rng.choice(s_actions)
+            for a in e.nonsentinel_actions if rng.random() < 0.8
+        }
+        pmap = {
+            p.id: rng.choice(s_parts)
+            for p in e.nonsentinel_participants if rng.random() < 0.8
+        }
+        assert evaluate_conversion(e_m, s_m, amap, pmap) == _reference_report(
+            e_m, s_m, amap, pmap
+        )
+        ident_a = {a.id: a.id for a in e.nonsentinel_actions}
+        ident_p = {p.id: p.id for p in e.nonsentinel_participants}
+        assert evaluate_conversion(e_m, e_m, ident_a, ident_p) == _reference_report(
+            e_m, e_m, ident_a, ident_p
+        )
+
+
+def test_index_closures_equal_causal_closure():
+    rng = random.Random(37)
+    for _ in range(100):
+        log = _random_pair(rng)[rng.randrange(2)]
+        m = adjacency(log)
+        assert m.closure_S == causal_closure(m.S | m.N_tri, allow_cycles=True)
+        assert m.closure_N == causal_closure(m.N | m.S_tri, allow_cycles=True)
+        reach = _future_fixpoint(log)
+        for i, aid in enumerate(m.action_ids):
+            effects = {m.action_ids[j] for j in range(len(m.action_ids)) if m.future.get(i, j)}
+            assert effects == reach.get(aid, set())

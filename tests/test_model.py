@@ -68,6 +68,29 @@ def test_cause_cycle_rejected():
         )
 
 
+def _chain(n, closed=False):
+    ids = [f"a{i:04d}" for i in range(n)]
+    first_cause = ids[-1] if closed else SENTINEL_UNKNOWN
+    return tuple(
+        Action(id=aid, who="p", cause_s=ids[i - 1] if i else first_cause)
+        for i, aid in enumerate(ids)
+    )
+
+
+def test_long_cause_chain_builds():
+    # deeper than the interpreter's default recursion limit
+    log = build_elog("chain", _chain(3000), _p("p"))
+    order = canonical_action_order(log)
+    assert order[:3000] == [f"a{i:04d}" for i in range(3000)]
+
+
+def test_long_cause_cycle_rejected_with_its_path():
+    with pytest.raises(CausalCycleError) as err:
+        build_elog("ring", _chain(3000, closed=True), _p("p"))
+    path = [f"a{i:04d}" for i in range(3000)] + ["a0000"]
+    assert str(err.value) == "non-sentinel cause cycle: " + " -> ".join(path)
+
+
 def test_trivial_pair_cycle_is_not_a_cycle():
     log = load_log("bob_alice.elog")
     assert validate_category(log).ok

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from cognilog.model import (
     validate_category,
 )
 from cognilog.reasoning import (
+    _injective_assignments,
     abstract_episode,
     classify_story,
     comprehend,
@@ -249,3 +251,60 @@ def test_plan_without_grounding_raises():
     world = build_elog("world", (), (Participant(id="rock"),))
     with pytest.raises(NoPlanFoundError):
         plan("takes", [grab], world, EMPTY, SearchConfig())
+
+
+def _story_world(n_inhabitants):
+    """Three 3-action scenes, each goal similar to the next scene's first
+    action, and a world whose every inhabitant belongs to every class."""
+    classes = ("agent", "patient", "tool")
+    triples = []
+    library = []
+    for j in range(3):
+        roles = classes[j:] + classes[:j]
+        actions = tuple(
+            Action(
+                id=f"sc{j}_a{k}", who=roles[k],
+                cause_s=f"sc{j}_a{k - 1}" if k else "unknown",
+                raw=RawData(t_start=k, t_end=k),
+            )
+            for k in range(3)
+        )
+        library.append(build_elog(
+            f"lib{j}", actions,
+            tuple(Participant(id=c, kind=Kind.CLASS) for c in classes), slog=True,
+        ))
+        triples.append(("Similar", f"sc{(j - 1) % 3}_a2", f"sc{j}_a0", 0.5))
+    world = build_elog(
+        "world", (), tuple(Participant(id=f"w{k}") for k in range(n_inhabitants))
+    )
+    triples += [("Be3", f"w{k}", c) for k in range(n_inhabitants) for c in classes]
+    return library, world, _rels(*triples)
+
+
+def test_plan_order_on_story_world():
+    library, world, b = _story_world(3)
+    plans = plan("sc2_a2", library, world, b, SearchConfig(max_candidates=12))
+    orders = [("w0", "w1", "w2"), ("w0", "w2", "w1"), ("w1", "w0", "w2"),
+              ("w1", "w2", "w0"), ("w2", "w0", "w1"), ("w2", "w1", "w0")]
+    expected = [
+        (chain, dict(zip(("agent", "patient", "tool"), order)))
+        for chain in (("lib2",), ("lib1", "lib2"))
+        for order in orders
+    ]
+    assert [(p.slog_chain, p.assignment) for p in plans] == expected
+    assert [p.elog.id for p in plans] == [f"plan_{i}" for i in range(12)]
+
+
+def test_injective_assignments_are_lazy_and_ordered():
+    classes = [f"c{i}" for i in range(12)]
+    world = [f"w{k:02d}" for k in range(40)]
+    first = list(itertools.islice(
+        _injective_assignments(classes, {c: world for c in classes}), 5
+    ))
+    expected = itertools.islice(itertools.permutations(world, len(classes)), 5)
+    assert first == [dict(zip(classes, perm)) for perm in expected]
+    narrow = {"a": ["x", "y"], "b": ["x"], "c": ["y", "z"]}
+    assert list(_injective_assignments(["a", "b", "c"], narrow)) == [
+        {"a": "y", "b": "x", "c": "z"},
+    ]
+    assert list(_injective_assignments([], {})) == [{}]

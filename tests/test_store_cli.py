@@ -105,6 +105,14 @@ def test_cli_usage_error():
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("weights", ["0.5,0.5,x", "0.5,0.5,0.5"])
+def test_cli_bad_weights_are_usage_errors(weights, capsys):
+    code = main(["match", _fx("robot.elog"), _fx("worker.slog"),
+                 "--weights", weights])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_cli_match_prints_both_mappings(capsys):
     code = main([
         "match", _fx("robot.elog"), _fx("worker.slog"),
