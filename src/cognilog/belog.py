@@ -3,7 +3,8 @@
 A be-log is a directed labelled graph of be-verb relations.  Similarity is
 asymmetric and never transitively closed; everything derived here (membership,
 class centres, equivalence blocks, mapping compatibility) is computed on
-demand from the stored edges.
+demand from the stored edges, and mapping compatibility is kept on the
+be-log once computed.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ class BeLog:
         for r in self.relations:
             idx.setdefault((r.type, r.target), []).append(r)
         return {k: tuple(v) for k, v in idx.items()}
+
+    @cached_property
+    def compatibility_memo(self) -> dict[tuple[str, str], float]:
+        """``mapping_compatibility`` results by (x, y), filled as asked."""
+        return {}
 
     def edges_from(self, type_: BeVerbType, source: str) -> tuple[BeRelation, ...]:
         return self.by_type_source.get((type_, source), ())
@@ -202,9 +208,13 @@ def mapping_compatibility(b: BeLog, x: str, y: str) -> float:
     Maximum over the evidence channels: identity, an explicit similarity or
     association edge, characteristic similarity (only when the target has
     characteristics), and shared classification.  No evidence scores 0.
+    A pure function of the frozen be-log, so kept in ``b.compatibility_memo``.
     """
     if x == y:
         return 1.0
+    memo = b.compatibility_memo
+    if (x, y) in memo:
+        return memo[x, y]
     best = 0.0
     for type_ in (BeVerbType.SIMILAR, BeVerbType.ASSOCIATION):
         for r in b.edges_from(type_, x):
@@ -216,4 +226,5 @@ def mapping_compatibility(b: BeLog, x: str, y: str) -> float:
     y_classes = {r.target for r in b.edges_from(BeVerbType.BE3, y)}
     if x_classes & y_classes or y in x_classes or x in y_classes:
         best = 1.0
+    memo[x, y] = best
     return best

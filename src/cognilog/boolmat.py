@@ -10,9 +10,10 @@ matrices P_S and P_E.
 ``evaluate_conversion`` does not build P_S and P_E.  Both are functions, so
 conjugating a closure through P_S relabels its entries and the who equation
 compares one performer set per column; both read the per-log index that a
-``CauseMatrices`` derives once (index maps, closures, performers).  The
-matrix-form ``conversion_pair`` / ``check_*`` functions compute the same
-rules from the matrices and are the reference the tests compare against.
+``CauseMatrices`` derives once (index maps, closures, performers) and that
+``adjacency`` compiles once per log.  The matrix-form ``conversion_pair`` /
+``check_*`` functions compute the same rules from the matrices and are the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatchError, NotTriangularError
+from .errors import DimensionMismatchError, NotTriangularError, UnknownObjectError
 from .model import (
     ELog,
     SENTINEL_ACTIONS,
@@ -86,9 +87,6 @@ class BoolMatrix:
     def entry_ids(self) -> list[tuple[str, str]]:
         return [(self.row_ids[i], self.col_ids[j]) for i, j in self.entries()]
 
-    def count(self) -> int:
-        return sum(bits.bit_count() for bits in self.rows)
-
     # -- algebra -----------------------------------------------------------
     def __or__(self, other: "BoolMatrix") -> "BoolMatrix":
         if self.shape != other.shape:
@@ -148,9 +146,10 @@ class BoolMatrix:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CauseMatrices:
-    """Adjacency view of one log under its canonical object orders."""
+    """Adjacency view of one log under its canonical object orders; the one
+    ``adjacency`` returns is shared, so treat its matrices as read-only."""
 
     action_ids: tuple[str, ...]
     participant_ids: tuple[str, ...]
@@ -160,10 +159,7 @@ class CauseMatrices:
     N_tri: BoolMatrix
     E: BoolMatrix  # participants x actions; E[p, a] = 1 iff who(a) = p
 
-    # -- per-log index, derived on first use ---------------------------------
-    # Never refreshed: edit the matrices above only before first use.  The
-    # matrix-form reference functions do not read it and recompute from the
-    # matrices, so they stay valid after in-place edits.
+    # -- per-log index, derived from the matrices above on first use ---------
 
     @cached_property
     def action_index(self) -> dict[str, int]:
@@ -262,11 +258,17 @@ class CompletenessReport:
 
 
 def adjacency(log: ELog) -> CauseMatrices:
-    """Extract S/N/E matrices under the canonical orders.
+    """S/N/E matrices of the log under the canonical orders.
 
     Sentinel and self arrows are excluded from S and N, which keeps both
-    strictly triangular; sentinels occupy the trailing rows/columns.
+    strictly triangular; sentinels occupy the trailing rows/columns.  The log
+    is compiled on the first call only: the result is kept on the frozen log,
+    the way ``functools.cached_property`` keeps ``ELog.action_by_id``, and
+    every call returns that same shared, read-only index.
     """
+    cached = log.__dict__.get("_adjacency")
+    if cached is not None:
+        return cached
     a_ids = tuple(canonical_action_order(log))
     p_ids = tuple(canonical_participant_order(log))
     a_index = {aid: i for i, aid in enumerate(a_ids)}
@@ -303,7 +305,8 @@ def adjacency(log: ELog) -> CauseMatrices:
             if a.trivial_partner == a.cause_n:
                 N_tri.set(i, j)
 
-    return CauseMatrices(a_ids, p_ids, S, N, S_tri, N_tri, E)
+    m = log.__dict__["_adjacency"] = CauseMatrices(a_ids, p_ids, S, N, S_tri, N_tri, E)
+    return m
 
 
 def causal_closure(m: BoolMatrix, allow_cycles: bool = False) -> BoolMatrix:
@@ -489,6 +492,17 @@ def _relabel(closure: BoolMatrix, f: dict[int, int], size: int) -> list[int]:
     return out
 
 
+def index_map(
+    mapping: dict[str, str], src: dict[str, int], dst: dict[str, int]
+) -> dict[int, int]:
+    """An object map as index pairs through the two logs' id->index maps;
+    raises ``UnknownObjectError`` naming an id that either log lacks."""
+    try:
+        return {src[x]: dst[y] for x, y in mapping.items()}
+    except KeyError as exc:
+        raise UnknownObjectError(f"unknown object {exc.args[0]!r}") from None
+
+
 def evaluate_conversion(
     e: CauseMatrices,
     s: CauseMatrices,
@@ -508,10 +522,8 @@ def evaluate_conversion(
         full_amap.setdefault(sid, sid)
     full_pmap = dict(participant_map)
     full_pmap.setdefault(SENTINEL_NOBODY, SENTINEL_NOBODY)
-    ea, sa = e.action_index, s.action_index
-    ep, sp = e.participant_index, s.participant_index
-    f = {ea[x]: sa[y] for x, y in full_amap.items()}
-    g = {ep[x]: sp[y] for x, y in full_pmap.items()}
+    f = index_map(full_amap, e.action_index, s.action_index)
+    g = index_map(full_pmap, e.participant_index, s.participant_index)
 
     domain = image = 0
     for u, fu in f.items():

@@ -11,6 +11,7 @@ the reserved sentinel objects ``nothing``/``unknown`` (actions) and ``nobody``
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -295,14 +296,15 @@ def build_elog(
     """Assemble and validate a log from action records.
 
     Missing cause targets default to ``unknown``; sentinels are always
-    inserted.  Raises on duplicate ids, dangling references, and non-sentinel
-    cause cycles (after collapsing trivial pairs).
+    inserted.  Raises on duplicate or unwritable ids (empty, whitespace, a
+    double quote), dangling references, and non-sentinel cause cycles (after
+    collapsing trivial pairs).
     """
     seen: set[str] = set()
     for obj in list(records) + list(participants):
         if obj.id in seen:
             raise DuplicateIdError(f"duplicate id {obj.id!r}")
-        if not obj.id or any(c.isspace() for c in obj.id):
+        if not obj.id or '"' in obj.id or any(c.isspace() for c in obj.id):
             raise DanglingReferenceError(f"invalid id {obj.id!r}")
         seen.add(obj.id)
 
@@ -323,9 +325,8 @@ def validate_category(log: ELog) -> ValidationReport:
     amap = log.action_by_id
     pmap = log.participant_by_id
 
-    ids = [a.id for a in log.actions] + [p.id for p in log.participants]
-    dup = {i for i in ids if ids.count(i) > 1}
-    for d in sorted(dup):
+    ids = Counter([a.id for a in log.actions] + [p.id for p in log.participants])
+    for d in sorted(i for i, k in ids.items() if k > 1):
         out.append(Violation("duplicate", f"duplicate id {d!r}", (d,)))
 
     for a in log.actions:

@@ -11,23 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .belog import BeLog, mapping_compatibility
-from .boolmat import (
-    CauseMatrices,
-    CompletenessReport,
-    adjacency,
-    evaluate_conversion,
-)
+from .boolmat import CompletenessReport, adjacency, evaluate_conversion
 from .errors import SourceTargetMismatchError, TooLargeError
-from .model import (
-    ELog,
-    SENTINEL_ACTIONS,
-    SENTINEL_NOBODY,
-    SENTINELS,
-    canonical_action_order,
-)
+from .model import ELog, SENTINEL_ACTIONS, SENTINEL_NOBODY, SENTINELS
 from .temporal import check_temporal_consistency
 
 
@@ -79,6 +68,10 @@ class SearchConfig:
             raise ValueError("weights must sum to 1")
         if not 0.0 <= self.min_compatibility <= 1.0:
             raise ValueError("min_compatibility must be in [0, 1]")
+        if self.max_candidates < 1:
+            raise ValueError("max_candidates must be at least 1")
+        if self.beam_width < 0:
+            raise ValueError("beam_width must not be negative")
 
 
 def identity_functor(log: ELog) -> Functor:
@@ -93,24 +86,11 @@ def identity_functor(log: ELog) -> Functor:
 def score_functor(
     functor: Functor, e: ELog, s: ELog, b: BeLog, cfg: SearchConfig,
     report: Optional[CompletenessReport] = None,
-    *,
-    matrices: Optional[tuple[CauseMatrices, CauseMatrices]] = None,
-    compat: Optional[Callable[[str, str], float]] = None,
 ) -> Score:
-    """Deterministic score: structure, temporal consistency, similarity.
-
-    ``matrices`` (the adjacency of ``e`` and ``s``) and ``compat`` (a
-    memoized ``mapping_compatibility`` over ``b``) let a caller scoring many
-    functors reuse what it has already derived; the score is the same.
-    """
-    if matrices is None:
-        matrices = (adjacency(e), adjacency(s))
-    if compat is None:
-        def compat(x: str, y: str) -> float:
-            return mapping_compatibility(b, x, y)
+    """Deterministic score: structure, temporal consistency, similarity."""
     if report is None:
         report = evaluate_conversion(
-            *matrices, functor.action_map, functor.participant_map
+            adjacency(e), adjacency(s), functor.action_map, functor.participant_map
         )
     hard = report.hard_checks()
     n_e = len(e.nonsentinel_actions) + len(e.nonsentinel_participants)
@@ -120,15 +100,13 @@ def score_functor(
     coverage = 1.0 if n_e + n_s == 0 else (mapped + hit) / (n_e + n_s)
     structural = (sum(hard) / len(hard)) * coverage
 
-    temporal = check_temporal_consistency(
-        e, s, functor, matrices
-    ).consistency_fraction
+    temporal = check_temporal_consistency(e, s, functor).consistency_fraction
 
     pairs = list(functor.action_map.items()) + list(functor.participant_map.items())
     similarity = (
         1.0
         if not pairs
-        else sum(compat(x, y) for x, y in pairs) / len(pairs)
+        else sum(mapping_compatibility(b, x, y) for x, y in pairs) / len(pairs)
     )
     w1, w2, w3 = cfg.weights
     total = w1 * structural + w2 * temporal + w3 * similarity
@@ -251,20 +229,12 @@ def search_functors(
     inference.
     """
     e_m, s_m = adjacency(e), adjacency(s)
-    e_actions = [a for a in canonical_action_order(e) if a not in SENTINEL_ACTIONS]
+    e_actions = [a for a in e_m.action_ids if a not in SENTINEL_ACTIONS]
     s_actions = sorted(a.id for a in s.nonsentinel_actions)
     who_e, who_s = _who_of(e), _who_of(s)
 
-    compat_cache: dict[tuple[str, str], float] = {}
-
-    def compat(x: str, y: str) -> float:
-        key = (x, y)
-        if key not in compat_cache:
-            compat_cache[key] = mapping_compatibility(b, x, y)
-        return compat_cache[key]
-
     def compat_ok(x: str, y: str) -> bool:
-        return compat(x, y) >= cfg.min_compatibility
+        return mapping_compatibility(b, x, y) >= cfg.min_compatibility
 
     # pruning tables: an e-side causal closure entry must land on an s-side
     # closure entry (or collapse onto an identity)
@@ -274,7 +244,9 @@ def search_functors(
         (e_m.closure_N.rows, s_m.closure_N.rows),
     )
 
-    results: dict[tuple, tuple[Functor, Score]] = {}
+    # each action map is visited once and its participant completions are
+    # distinct, so no result repeats
+    results: list[tuple[Functor, Score]] = []
 
     def consistent_with(
         x: str, y: str, amap: dict[str, str]
@@ -292,29 +264,17 @@ def search_functors(
         return True
 
     def finalize(amap: dict[str, str], pmap: dict[str, str]) -> None:
-        def pfilter(p: str, q: str) -> bool:
-            return compat_ok(p, q)
-
         for full_pmap in _participant_completions(
             e, s, pmap, allow_partial=not cfg.require_injective,
-            targets_filter=pfilter,
+            targets_filter=compat_ok,
         ):
             report = evaluate_conversion(e_m, s_m, amap, full_pmap)
             if not _admissible(report, cfg):
                 continue
             functor = Functor(
-                src=e.id, dst=s.id, action_map=dict(amap),
-                participant_map=full_pmap,
+                src=e.id, dst=s.id, action_map=dict(amap), participant_map=full_pmap
             )
-            key = functor.map_key()
-            if key not in results:
-                results[key] = (
-                    functor,
-                    score_functor(
-                        functor, e, s, b, cfg, report=report,
-                        matrices=(e_m, s_m), compat=compat,
-                    ),
-                )
+            results.append((functor, score_functor(functor, e, s, b, cfg, report)))
 
     def backtrack(i: int, amap: dict[str, str], pmap: dict[str, str]) -> None:
         if i == len(e_actions):
@@ -341,7 +301,7 @@ def search_functors(
                 continue
             options.append(y)
         if cfg.beam_width > 0:
-            options.sort(key=lambda y: (-compat(x, y), y))
+            options.sort(key=lambda y: (-mapping_compatibility(b, x, y), y))
             options = options[: cfg.beam_width]
         for y in options:
             q = who_s[y]
@@ -358,9 +318,7 @@ def search_functors(
 
     backtrack(0, {}, {})
 
-    ranked = sorted(
-        results.values(), key=lambda fs: (-fs[1].total, fs[0].map_key())
-    )
+    ranked = sorted(results, key=lambda fs: (-fs[1].total, fs[0].map_key()))
     return ranked[: cfg.max_candidates]
 
 

@@ -2,12 +2,14 @@
 
 One file per log in a canonical, line-oriented UTF-8 format.  The writer
 always emits objects sorted by id with a fixed key order, so parse/format is
-an exact round trip on canonical files.
+an exact round trip on canonical files.  Labels are written in double quotes
+with backslash escapes, so any label reads back as written.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,9 +30,21 @@ _A_KEYS = ("who", "cs", "cn", "triv", "vol", "ts", "te", "label")
 _B_KEYS = ("w", "label")
 
 
+# Quoted values escape backslash, double quote and every character at which
+# str.splitlines ends a line, so any label reads back as written.  A
+# backslash that starts no escape reads as itself.
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"} | {
+    c: f"\\u{ord(c):04x}" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_UNESCAPES = {v: k for k, v in _ESCAPES.items()}
+_ESCAPE_RE = re.compile("|".join(re.escape(v) for v in _UNESCAPES))
+
+
 def _split_fields(line: str, lineno: int) -> list[tuple[str, int]]:
     """Whitespace-split that keeps quoted label values intact; returns
-    (token, column) pairs, columns 1-based."""
+    (token, column) pairs, columns 1-based.  A backslash inside a quote
+    escapes the next character."""
     out: list[tuple[str, int]] = []
     i, n = 0, len(line)
     while i < n:
@@ -38,13 +52,14 @@ def _split_fields(line: str, lineno: int) -> list[tuple[str, int]]:
             i += 1
             continue
         start = i
-        in_quote = False
-        while i < n and (in_quote or not line[i].isspace()):
+        while i < n and not line[i].isspace():
             if line[i] == '"':
-                in_quote = not in_quote
+                i += 1
+                while i < n and line[i] != '"':
+                    i += 2 if line[i] == "\\" else 1
+                if i >= n:
+                    raise ParseError("unterminated quote", lineno, start + 1)
             i += 1
-        if in_quote:
-            raise ParseError("unterminated quote", lineno, start + 1)
         out.append((line[start:i], start + 1))
     return out
 
@@ -56,7 +71,7 @@ def _parse_kv(token: str, lineno: int, column: int) -> tuple[str, str]:
         raise ParseError(f"expected key=value, got {token!r}", lineno, column)
     key, value = token.split("=", 1)
     if value.startswith('"') and value.endswith('"') and len(value) >= 2:
-        value = value[1:-1]
+        value = _ESCAPE_RE.sub(lambda m: _UNESCAPES[m.group()], value[1:-1])
     return key, value
 
 
@@ -150,7 +165,7 @@ def parse_log(text: str) -> ELog:
 
 
 def _quote(label: str) -> str:
-    return '"' + label + '"'
+    return '"' + label.translate(_ESCAPE_TABLE) + '"'
 
 
 def format_log(log: ELog) -> str:

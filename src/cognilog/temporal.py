@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-from .boolmat import CauseMatrices, adjacency
+from .boolmat import adjacency, index_map
 from .errors import MissingTimestampError
 from .model import ELog, SENTINEL_ACTIONS
 
@@ -102,10 +102,7 @@ class TemporalReport:
 
 
 def check_temporal_consistency(
-    e: ELog,
-    s: ELog,
-    functor: "Functor",
-    matrices: Optional[tuple[CauseMatrices, CauseMatrices]] = None,
+    e: ELog, s: ELog, functor: "Functor"
 ) -> TemporalReport:
     """Verify that causal order survives the functor.
 
@@ -113,11 +110,12 @@ def check_temporal_consistency(
     the s-log, the s-side relation must point the same way and the s-side
     ranks must not decrease.  Pairs with missing timestamps on either side are
     indeterminate.  Causal order is the future reachability of the logs'
-    adjacency; ``matrices`` passes the adjacency of ``e`` and ``s`` when the
-    caller already has it.
+    adjacency.  An action map naming an id that is not in the logs raises
+    ``UnknownObjectError``.
     """
     amap = functor.action_map
-    e_m, s_m = matrices if matrices is not None else (adjacency(e), adjacency(s))
+    e_m, s_m = adjacency(e), adjacency(s)
+    index_map(amap, e_m.action_index, s_m.action_index)  # rejects unknown ids
     e_ids = e_m.action_ids
     s_index, s_future = s_m.action_index, s_m.future.rows
     s_actions = s.action_by_id

@@ -119,9 +119,9 @@ def test_criterion_04_oracle_equivalence():
         for i in range(100):
             e = random_elog(rng, max_actions=6, log_id=f"e{i}")
             s = random_elog(rng, max_actions=6, slog=True, log_id=f"s{i}")
-            found = {
-                f.map_key() for f, _ in search_functors(e, s, BeLog(), cfg)
-            }
+            keys = [f.map_key() for f, _ in search_functors(e, s, BeLog(), cfg)]
+            found = set(keys)
+            assert len(found) == len(keys), f"pair {i}: repeated result"
             oracle = {f.map_key() for f in brute_force_functors(e, s, cfg)}
             assert found == oracle, f"pair {i}"
         assert time.monotonic() - start < 60.0

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -16,7 +16,7 @@ from cognilog.boolmat import (
     dump_matrices,
     evaluate_conversion,
 )
-from cognilog.errors import DimensionMismatchError, NotTriangularError
+from cognilog.errors import DimensionMismatchError, NotTriangularError, UnknownObjectError
 from cognilog.model import Action, ELog, Participant, SLog, build_elog
 
 from conftest import load_log, random_elog
@@ -115,6 +115,30 @@ def test_adjacency_strictly_triangular():
                 assert not m.N.get(i, j)  # N strictly upper
 
 
+def test_adjacency_is_compiled_once_per_log():
+    log = load_log("robot.elog")
+    m = adjacency(log)
+    assert adjacency(log) is m
+    with pytest.raises(FrozenInstanceError):
+        m.S = m.N
+    # an equal log is a separate value with its own index
+    twin = load_log("robot.elog")
+    assert twin == log and adjacency(twin) is not m
+    assert adjacency(twin) == m
+
+
+def test_evaluate_conversion_rejects_unknown_ids():
+    e_m = adjacency(load_log("robot.elog"))
+    s_m = adjacency(load_log("worker.slog"))
+    for amap, pmap, ghost in (
+        ({"carried": "ghost"}, {}, "ghost"),
+        ({"ghost": "carries"}, {}, "ghost"),
+        ({}, {"robot": "ghost"}, "ghost"),
+    ):
+        with pytest.raises(UnknownObjectError, match=ghost):
+            evaluate_conversion(e_m, s_m, amap, pmap)
+
+
 def test_identity_functor_is_complete():
     rng = random.Random(23)
     for _ in range(25):
@@ -139,11 +163,10 @@ def test_causal_equation_swap_symmetry():
         }
         p = conversion_pair(e_m, s_m, amap, {})
         ok_s, ok_n, _ = check_causal_equations(e_m, s_m, p)
-        e_m.S, e_m.N = e_m.N, e_m.S
-        e_m.S_tri, e_m.N_tri = e_m.N_tri, e_m.S_tri
-        s_m.S, s_m.N = s_m.N, s_m.S
-        s_m.S_tri, s_m.N_tri = s_m.N_tri, s_m.S_tri
-        ok_s2, ok_n2, _ = check_causal_equations(e_m, s_m, p)
+        # swapped copies: the index adjacency returns is shared and read-only
+        e_sw = replace(e_m, S=e_m.N, N=e_m.S, S_tri=e_m.N_tri, N_tri=e_m.S_tri)
+        s_sw = replace(s_m, S=s_m.N, N=s_m.S, S_tri=s_m.N_tri, N_tri=s_m.S_tri)
+        ok_s2, ok_n2, _ = check_causal_equations(e_sw, s_sw, p)
         assert (ok_s, ok_n) == (ok_n2, ok_s2)
 
 

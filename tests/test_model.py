@@ -13,6 +13,7 @@ from cognilog.errors import (
 )
 from cognilog.model import (
     Action,
+    ELog,
     Kind,
     Participant,
     RawData,
@@ -49,6 +50,29 @@ def test_duplicate_id_rejected():
             (Action(id="a", who="p"), Action(id="a", who="p")),
             _p("p"),
         )
+
+
+def test_validate_reports_each_duplicate_id_once():
+    base = build_elog("x", (Action(id="a", who="p"), Action(id="b", who="p")), _p("p"))
+    # bypass build_elog, which rejects duplicates before validating
+    log = ELog(
+        "x",
+        base.actions + (Action(id="b", who="p"), Action(id="a", who="p")),
+        base.participants + _p("a"),
+    )
+    dups = [v for v in validate_category(log).violations if v.code == "duplicate"]
+    assert [(v.message, v.objects) for v in dups] == [
+        ("duplicate id 'a'", ("a",)),
+        ("duplicate id 'b'", ("b",)),
+    ]
+
+
+@pytest.mark.parametrize("bad", ["", "a b", "a\tb", 'a"b', '"'])
+def test_malformed_id_rejected(bad):
+    with pytest.raises(DanglingReferenceError):
+        build_elog("x", (Action(id=bad, who="p"),), _p("p"))
+    with pytest.raises(DanglingReferenceError):
+        build_elog("x", (), _p(bad))
 
 
 def test_dangling_who_rejected():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from cognilog.belog import BeLog, BeRelation, BeVerbType, similarity_by_characteristics
 from cognilog.boolmat import BoolMatrix, causal_closure
+from cognilog.model import SENTINELS, Action, Kind, Participant, RawData, build_elog
+from cognilog.store import format_belog, format_log, parse_belog, parse_log
 
 TOKENS = ["t0", "t1", "t2", "t3", "t4"]
 
@@ -68,3 +70,60 @@ def test_union_closure_contains_closures(a, b):
     ca, cb = causal_closure(a), causal_closure(b)
     for i, j in list(ca.entries()) + list(cb.entries()):
         assert u.get(i, j)
+
+
+# Ids: printable, no whitespace, no double quote.  Labels: any printable
+# text plus the characters that end a line.
+IDS = st.text(
+    st.characters(blacklist_categories=("C", "Z"), blacklist_characters='"'),
+    min_size=1, max_size=6,
+).filter(lambda s: s not in SENTINELS)
+LABELS = st.text(
+    st.one_of(
+        st.characters(blacklist_categories=("Cs",)).filter(str.isprintable),
+        st.sampled_from('\\"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def labelled_logs(draw):
+    ids = draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
+    n_parts = draw(st.integers(min_value=1, max_value=len(ids)))
+    slog = draw(st.booleans())
+    kinds = st.just(Kind.CLASS) if slog else st.sampled_from(Kind)
+    parts = tuple(
+        Participant(id=pid, label=draw(LABELS), kind=draw(kinds))
+        for pid in ids[:n_parts]
+    )
+    actions = []
+    for aid in ids[n_parts:]:
+        ts = draw(st.one_of(st.none(), st.integers(0, 9)))
+        actions.append(Action(
+            id=aid, who=draw(st.sampled_from(ids[:n_parts])),
+            volition=draw(st.booleans()), label=draw(LABELS),
+            raw=RawData(t_start=ts, t_end=ts),
+        ))
+    return build_elog("h", tuple(actions), parts, slog=slog)
+
+
+@settings(max_examples=150)
+@given(labelled_logs())
+def test_log_text_round_trips_any_label(log):
+    text = format_log(log)
+    back = parse_log(text)
+    assert back == log and type(back) is type(log)
+    assert format_log(back) == text
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(IDS, LABELS), max_size=5))
+def test_belog_text_round_trips_any_label(rows):
+    b = BeLog(tuple(
+        BeRelation(f"b{n}", BeVerbType.SIMILAR, source=x, target=x + "'", label=label)
+        for n, (x, label) in enumerate(rows, 1)
+    ))
+    text = format_belog(b)
+    assert parse_belog(text) == b
+    assert format_belog(parse_belog(text)) == text

@@ -26,6 +26,14 @@ def test_weights_must_sum_to_one():
         SearchConfig(weights=(0.5, 0.5, 0.5))
 
 
+@pytest.mark.parametrize(
+    "bad", [{"max_candidates": 0}, {"max_candidates": -1}, {"beam_width": -1}]
+)
+def test_config_rejects_out_of_range_sizes(bad):
+    with pytest.raises(ValueError):
+        SearchConfig(**bad)
+
+
 def test_identity_functor_scores_perfect():
     log = load_log("robot.elog")
     f = identity_functor(log)

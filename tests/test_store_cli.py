@@ -65,6 +65,20 @@ def test_labels_round_trip_with_spaces():
     assert format_log(log) == text
 
 
+def test_labels_with_quotes_and_line_breaks_are_escaped():
+    text = (
+        '#ELOG x\nP p label="say \\"hi"\n'
+        'A a who=p cs=unknown cn=unknown label="C:\\\\tmp\\nnext\\u2028line"\n'
+    )
+    log = parse_log(text)
+    assert log.participant_by_id["p"].label == 'say "hi'
+    assert log.action_by_id["a"].label == "C:\\tmp\nnext\u2028line"
+    assert format_log(log) == text
+    # a backslash that starts no escape reads as itself
+    lenient = parse_log(text.replace("C:\\\\", "C:\\"))
+    assert lenient.action_by_id["a"].label.startswith("C:\\tmp")
+
+
 def test_store_load_save_identity(tmp_path):
     store = load(FIXTURES)
     assert "robot" in store.logs and "worker" in store.logs
@@ -111,6 +125,15 @@ def test_cli_bad_weights_are_usage_errors(weights, capsys):
                  "--weights", weights])
     assert code == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_cli_bad_max_candidates_are_usage_errors(count, capsys):
+    code = main(["match", _fx("robot.elog"), _fx("worker.slog"),
+                 "--max-candidates", count])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and captured.out == ""
 
 
 def test_cli_match_prints_both_mappings(capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from cognilog.errors import MissingTimestampError
+from cognilog.errors import MissingTimestampError, UnknownObjectError
 from cognilog.model import Action, RawData, build_elog
 from cognilog.reasoning import generate_slog
 from cognilog.search import Functor
@@ -79,6 +79,14 @@ def test_chain_fixture_true_and_false():
     ko = check_temporal_consistency(e, load_log("chain_reversed.slog"), bad)
     assert not ko.ok
     assert ("act_a", "act_b") in ko.violations
+
+
+def test_unknown_ids_in_map_are_typed_errors():
+    e, s = load_log("robot.elog"), load_log("worker.slog")
+    for amap in ({"carried": "ghost"}, {"ghost": "carries"}):
+        f = Functor(src=e.id, dst=s.id, action_map=amap, participant_map={})
+        with pytest.raises(UnknownObjectError, match="ghost"):
+            check_temporal_consistency(e, s, f)
 
 
 def test_consistency_fraction_defaults_to_one():
