@@ -185,6 +185,12 @@ class CauseMatrices:
         return causal_closure(self.N | self.S.transpose(), allow_cycles=True)
 
     @cached_property
+    def future_pairs(self) -> tuple[tuple[str, str], ...]:
+        """(cause, effect) id pairs of ``future``, sorted by id."""
+        ids = self.action_ids
+        return tuple(sorted((ids[i], ids[j]) for i, j in self.future.entries()))
+
+    @cached_property
     def performer(self) -> tuple[int, ...]:
         """Participant index of each action's performer; -1 when ``who``
         names an action (nominalized) rather than a participant."""

@@ -247,10 +247,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:
-        print(f"parse error at line {exc.line}, column {exc.column}: {exc.args[0]}",
+        print(f"parse error at line {exc.line}, column {exc.column}: {exc.message}",
               file=sys.stderr)
         return 1
-    except (CognilogError, FileNotFoundError) as exc:
+    except (CognilogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001  - contract: internal errors exit 3

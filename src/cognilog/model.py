@@ -211,50 +211,25 @@ def _do_member(a: Action, b: Action) -> str:
     return min(a.id, b.id)
 
 
-def _find_cycle(edges: set[tuple[str, str]]) -> Optional[list[str]]:
-    """First cycle met by a depth-first search from each node in id order,
-    as a path that repeats its first node at the end; None when acyclic.
+def _causal_order(
+    actions: Mapping[str, Action],
+) -> tuple[list[str], Optional[list[str]]]:
+    """Kahn's topological sort (Kahn 1962) of the collapsed cause relation.
 
-    The search keeps its own stack of successor iterators, so chain length
-    is not bounded by the interpreter's recursion limit.
+    Returns the action ids in canonical order (timestamp ascending, "do"
+    before "be done" within a trivial pair, id ascending) and None.  When a
+    cycle leaves units unordered, it returns the ordered prefix and one
+    cycle: from the smallest unordered unit, step to its smallest unordered
+    cause until a unit repeats; that path read forwards, repeating its first
+    unit at the end.
     """
-    adj: dict[str, list[str]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, [])
-    state: dict[str, int] = {}  # 1 = on the current path, 2 = finished
-    for root in sorted(adj):
-        if root in state:
-            continue
-        state[root] = 1
-        path = [root]
-        pending = [iter(adj[root])]
-        while pending:
-            for nxt in pending[-1]:
-                if state.get(nxt) == 1:
-                    return path[path.index(nxt):] + [nxt]
-                if nxt not in state:
-                    state[nxt] = 1
-                    path.append(nxt)
-                    pending.append(iter(adj[nxt]))
-                    break
-            else:
-                pending.pop()
-                state[path.pop()] = 2
-    return None
-
-
-def canonical_action_order(log: ELog) -> list[str]:
-    """Topological order of actions: timestamp ascending, "do" before
-    "be done" within a trivial pair, id ascending; sentinels last."""
-    actions = {a.id: a for a in log.nonsentinel_actions}
     unit, edges = collapsed_cause_edges(actions)
     members: dict[str, list[str]] = {}
     for aid, uid in unit.items():
         members.setdefault(uid, []).append(aid)
 
-    def unit_key(uid: str):
-        ts = actions[uid].t_start
+    def unit_key(uid: str):  # ends with uid, so a popped key names its unit
+        ts = actions[uid].raw.t_start
         return (0, ts, uid) if ts is not None else (1, 0, uid)
 
     indeg: dict[str, int] = {uid: 0 for uid in members}
@@ -262,21 +237,47 @@ def canonical_action_order(log: ELog) -> list[str]:
     for u, v in edges:
         out[u].append(v)
         indeg[v] += 1
-    heap = [(unit_key(uid), uid) for uid, d in indeg.items() if d == 0]
+    heap = [unit_key(uid) for uid, d in indeg.items() if d == 0]
     heapq.heapify(heap)
     order: list[str] = []
     while heap:
-        _, uid = heapq.heappop(heap)
-        group = members[uid]
-        # "do" member first, remaining members by id
+        uid = heapq.heappop(heap)[-1]
         order.append(uid)
-        order.extend(sorted(m for m in group if m != uid))
-        for nxt in sorted(out[uid]):
+        group = members[uid]
+        if len(group) > 1:  # "do" member first, remaining members by id
+            order.extend(sorted(m for m in group if m != uid))
+        for nxt in out[uid]:
             indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(heap, (unit_key(nxt), nxt))
-    if len(order) != len(actions):
-        raise CausalCycleError(f"cause arrows of {log.id} contain a cycle")
+            if not indeg[nxt]:
+                heapq.heappush(heap, unit_key(nxt))
+    if len(order) == len(actions):
+        return order, None
+    causes: dict[str, list[str]] = {}
+    for u, v in edges:
+        if indeg[u] and indeg[v]:
+            causes.setdefault(v, []).append(u)
+    # every unordered unit keeps an unordered cause, so the walk must repeat
+    path = [min(uid for uid, d in indeg.items() if d)]
+    seen = {path[0]: 0}
+    while True:
+        nxt = min(causes[path[-1]])
+        if nxt in seen:
+            return order, (path[seen[nxt]:] + [nxt])[::-1]
+        seen[nxt] = len(path)
+        path.append(nxt)
+
+
+def _cycle_message(cycle: list[str]) -> str:
+    return "non-sentinel cause cycle: " + " -> ".join(cycle)
+
+
+def canonical_action_order(log: ELog) -> list[str]:
+    """Topological order of actions: timestamp ascending, "do" before
+    "be done" within a trivial pair, id ascending; sentinels last.  Raises
+    ``CausalCycleError`` naming a cycle of the cause arrows."""
+    order, cycle = _causal_order({a.id: a for a in log.nonsentinel_actions})
+    if cycle:
+        raise CausalCycleError(_cycle_message(cycle))
     order.extend(sorted(SENTINEL_ACTIONS))
     return order
 
@@ -419,15 +420,9 @@ def validate_category(log: ELog) -> ValidationReport:
         for a in log.nonsentinel_actions
         if a.cause_s in amap and a.cause_n in amap
     }
-    cycle = _find_cycle(collapsed_cause_edges(valid_actions)[1])
+    cycle = _causal_order(valid_actions)[1]
     if cycle:
-        out.append(
-            Violation(
-                "cycle",
-                "non-sentinel cause cycle: " + " -> ".join(cycle),
-                tuple(cycle[:-1]),
-            )
-        )
+        out.append(Violation("cycle", _cycle_message(cycle), tuple(cycle[:-1])))
 
     if isinstance(log, SLog):
         for p in log.nonsentinel_participants:

@@ -345,29 +345,26 @@ class ComprehensionTree:
         return [n for level in self.levels for n in level]
 
 
+def _find(parent, x):
+    """Union-find root of x in the forest ``parent`` (a dict or a list),
+    halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _causal_clusters(e: ELog) -> list[frozenset[str]]:
     """Weakly-connected components of the non-sentinel cause graph; each
     cluster carries its actions plus their performers."""
     actions = {a.id: a for a in e.nonsentinel_actions}
     unit, edges = collapsed_cause_edges(actions)
     parent = {aid: aid for aid in actions}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: str, y: str) -> None:
-        parent[find(x)] = find(y)
-
-    for aid, uid in unit.items():
-        union(aid, uid)
-    for u, v in edges:
-        union(u, v)
+    for u, v in list(unit.items()) + list(edges):
+        parent[_find(parent, u)] = _find(parent, v)
     groups: dict[str, set[str]] = {}
     for aid in actions:
-        groups.setdefault(find(aid), set()).add(aid)
+        groups.setdefault(_find(parent, aid), set()).add(aid)
     clusters = []
     for members in groups.values():
         objs = set(members)
@@ -447,25 +444,19 @@ def _merge_adjacent(
     """Union nodes that share a non-sentinel object; None when nothing
     merges."""
     parent = list(range(len(nodes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     any_merge = False
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             if nodes[i].object_ids & nodes[j].object_ids:
-                if find(i) != find(j):
-                    parent[find(i)] = find(j)
+                ri, rj = _find(parent, i), _find(parent, j)
+                if ri != rj:
+                    parent[ri] = rj
                     any_merge = True
     if not any_merge:
         return None
     groups: dict[int, list[int]] = {}
     for i in range(len(nodes)):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find(parent, i), []).append(i)
     out = []
     for members in groups.values():
         objs = frozenset().union(*(nodes[i].object_ids for i in members))

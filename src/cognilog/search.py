@@ -10,11 +10,18 @@ thin-category reachability test decides natural transformations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .belog import BeLog, mapping_compatibility
-from .boolmat import CompletenessReport, adjacency, evaluate_conversion
+from .boolmat import (
+    BoolMatrix,
+    CompletenessReport,
+    adjacency,
+    causal_closure,
+    evaluate_conversion,
+)
 from .errors import SourceTargetMismatchError, TooLargeError
 from .model import ELog, SENTINEL_ACTIONS, SENTINEL_NOBODY, SENTINELS
 from .temporal import check_temporal_consistency
@@ -64,6 +71,8 @@ class SearchConfig:
     composition_depth: int = 3
 
     def __post_init__(self):
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ValueError("weights must be finite and non-negative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         if not 0.0 <= self.min_compatibility <= 1.0:
@@ -325,29 +334,6 @@ def search_functors(
 # -- natural transformations ----------------------------------------------
 
 
-def _arrow_reachability(log: ELog) -> dict[str, set[str]]:
-    """Reachability through who/cause arrows plus identities (thin-category
-    reading: any two parallel arrow-paths are equal)."""
-    succ: dict[str, set[str]] = {oid: set() for oid in log.object_ids()}
-    for a in log.actions:
-        succ[a.id].update({a.who, a.cause_s, a.cause_n})
-        succ[a.id].discard(a.id)
-    reach = {node: set(nxt) for node, nxt in succ.items()}
-    changed = True
-    while changed:
-        changed = False
-        for node in reach:
-            acc = set(reach[node])
-            for nxt in list(reach[node]):
-                acc |= reach.get(nxt, set())
-            if acc != reach[node]:
-                reach[node] = acc
-                changed = True
-    for node in reach:
-        reach[node].add(node)  # identity morphisms
-    return reach
-
-
 def natural_transformation(
     f: Functor, g: Functor, target: ELog
 ) -> Optional[dict[str, tuple[str, str]]]:
@@ -355,21 +341,30 @@ def natural_transformation(
 
     Exists iff every source object's two images are connected by an arrow
     path in the target log; naturality squares then commute automatically in
-    the thin-category reading.  Returns {object: (F(x), G(x))} or None.
+    the thin-category reading (any two parallel arrow paths are equal).
+    Returns {object: (F(x), G(x))} or None.
     """
     if f.src != g.src or f.dst != g.dst:
         raise SourceTargetMismatchError(
             f"functors {f.src}->{f.dst} and {g.src}->{g.dst} are not parallel"
         )
-    reach = _arrow_reachability(target)
+    # identities plus who/cause arrows, closed by the shared closure kernel
+    ids = tuple(sorted(target.object_ids()))
+    index = {oid: i for i, oid in enumerate(ids)}
+    arrows = BoolMatrix.identity(ids)
+    for a in target.actions:
+        for t in (a.who, a.cause_s, a.cause_n):
+            if t in index:
+                arrows.set(index[a.id], index[t])
+    reach = causal_closure(arrows, allow_cycles=True).rows
     components: dict[str, tuple[str, str]] = {}
     objects = sorted(f.mapped_objects() | g.mapped_objects())
     for x in objects:
         fx = f.action_map.get(x) or f.participant_map.get(x)
         gx = g.action_map.get(x) or g.participant_map.get(x)
-        if fx is None or gx is None:
+        if fx not in index or gx not in index:
             return None
-        if gx not in reach.get(fx, set()):
+        if not reach[index[fx]] >> index[gx] & 1:
             return None
         components[x] = (fx, gx)
     return components

@@ -295,7 +295,7 @@ def load(path: str | os.PathLike) -> Store:
                 kind = "slog" if isinstance(log, SLog) else "elog"
                 store.index[log.id] = (kind, file.name, file.stat().st_mtime)
         except ParseError as exc:
-            raise ParseError(f"{file.name}: {exc.args[0]}", exc.line, exc.column)
+            raise ParseError(f"{file.name}: {exc.message}", exc.line, exc.column)
     return store
 
 

@@ -116,14 +116,13 @@ def check_temporal_consistency(
     amap = functor.action_map
     e_m, s_m = adjacency(e), adjacency(s)
     index_map(amap, e_m.action_index, s_m.action_index)  # rejects unknown ids
-    e_ids = e_m.action_ids
     s_index, s_future = s_m.action_index, s_m.future.rows
     s_actions = s.action_by_id
 
     violations: list[tuple[str, str]] = []
     consistent = 0
     indeterminate = 0
-    for cause, effect in sorted((e_ids[i], e_ids[j]) for i, j in e_m.future.entries()):
+    for cause, effect in e_m.future_pairs:
         fc, fx = amap.get(cause), amap.get(effect)
         if fc is None or fx is None or fc in SENTINEL_ACTIONS or fx in SENTINEL_ACTIONS:
             continue

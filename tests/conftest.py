@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from cognilog.belog import BeLog
-from cognilog.model import Action, ELog, Kind, Participant, RawData, build_elog
+from cognilog.model import (
+    Action, ELog, Kind, Participant, RawData, SLog, build_elog,
+)
 from cognilog.store import parse_belog, parse_log
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -106,3 +109,15 @@ def random_elog(
             )
         )
     return build_elog(log_id, tuple(actions), tuple(participants), slog=slog)
+
+
+def nominalize(rng: random.Random, log: ELog) -> ELog:
+    """Re-point some performers at actions (action-as-noun who arrows)."""
+    ids = [a.id for a in log.nonsentinel_actions]
+    actions = tuple(
+        replace(a, who=rng.choice(ids)) if rng.random() < 0.3 else a
+        for a in log.nonsentinel_actions
+    )
+    return build_elog(
+        log.id, actions, log.nonsentinel_participants, slog=isinstance(log, SLog)
+    )

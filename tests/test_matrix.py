@@ -17,9 +17,9 @@ from cognilog.boolmat import (
     evaluate_conversion,
 )
 from cognilog.errors import DimensionMismatchError, NotTriangularError, UnknownObjectError
-from cognilog.model import Action, ELog, Participant, SLog, build_elog
+from cognilog.model import Action, ELog, Participant, build_elog
 
-from conftest import load_log, random_elog
+from conftest import load_log, nominalize, random_elog
 
 
 def _random_dag_matrix(rng, n):
@@ -237,18 +237,6 @@ def _reference_report(e_m, s_m, amap, pmap):
     )
 
 
-def _nominalize(rng, log):
-    """Re-point some performers at actions (action-as-noun who arrows)."""
-    ids = [a.id for a in log.nonsentinel_actions]
-    actions = tuple(
-        replace(a, who=rng.choice(ids)) if rng.random() < 0.3 else a
-        for a in log.nonsentinel_actions
-    )
-    return build_elog(
-        log.id, actions, log.nonsentinel_participants, slog=isinstance(log, SLog)
-    )
-
-
 def _future_fixpoint(log: ELog) -> dict[str, set[str]]:
     """cause -> transitive effects over non-sentinel arrows, by set fixpoint."""
     succ: dict[str, set[str]] = {a.id: set() for a in log.nonsentinel_actions}
@@ -275,9 +263,9 @@ def _random_pair(rng):
     e = random_elog(rng, max_actions=8, log_id="e")
     s = random_elog(rng, max_actions=8, slog=True, log_id="s")
     if rng.random() < 0.3:
-        e = _nominalize(rng, e)
+        e = nominalize(rng, e)
     if rng.random() < 0.3:
-        s = _nominalize(rng, s)
+        s = nominalize(rng, s)
     return e, s
 
 
@@ -317,3 +305,4 @@ def test_index_closures_equal_causal_closure():
         for i, aid in enumerate(m.action_ids):
             effects = {m.action_ids[j] for j in range(len(m.action_ids)) if m.future.get(i, j)}
             assert effects == reach.get(aid, set())
+        assert m.future_pairs == tuple(sorted(m.future.entry_ids()))

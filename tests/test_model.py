@@ -1,4 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +25,7 @@ from cognilog.model import (
     RawData,
     SENTINEL_NOBODY,
     SENTINEL_UNKNOWN,
+    _canonicalize,
     add_intermediate_replica,
     build_elog,
     canonical_action_order,
@@ -113,6 +120,63 @@ def test_long_cause_cycle_rejected_with_its_path():
         build_elog("ring", _chain(3000, closed=True), _p("p"))
     path = [f"a{i:04d}" for i in range(3000)] + ["a0000"]
     assert str(err.value) == "non-sentinel cause cycle: " + " -> ".join(path)
+
+
+_TWO_CYCLES = """
+import json
+from cognilog.errors import CausalCycleError
+from cognilog.model import (
+    Action, Participant, _canonicalize, build_elog, validate_category,
+)
+
+actions = (
+    Action(id="a", who="p", cause_n="b"),
+    Action(id="b", who="p", cause_n="a"),
+    Action(id="c", who="p", cause_s="a", cause_n="a"),
+)
+try:
+    build_elog("two", actions, (Participant(id="p"),))
+except CausalCycleError as exc:
+    message = str(exc)
+report = validate_category(_canonicalize("two", actions, (Participant(id="p"),)))
+print(json.dumps([message, [list(v.objects) for v in report.violations]]))
+"""
+
+
+def test_cycle_report_does_not_depend_on_hash_seed():
+    # a -> b -> a and a -> c -> a share a; the reported one must not vary
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _TWO_CYCLES],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    message, objects = json.loads(outputs.pop())
+    assert message == "non-sentinel cause cycle: a -> b -> a"
+    assert objects == [["a", "b"]]
+
+
+def test_canonical_order_of_unvalidated_cyclic_log_names_the_cycle():
+    log = build_elog("x", (Action(id="a", who="p"),), _p("p", "q"))
+    log, do, be_done = decompose_transitive(log, "p", "hits", "q")
+    # close a loop through the trivial pair without validating: a -> hits -> a
+    actions = tuple(
+        replace(x, cause_s=be_done.id) if x.id == "a"
+        else replace(x, cause_s="a") if x.id == do.id
+        else x
+        for x in log.nonsentinel_actions
+    )
+    cyclic = _canonicalize("x", actions, log.nonsentinel_participants)
+    message = "non-sentinel cause cycle: a -> hits -> a"
+    with pytest.raises(CausalCycleError) as err:
+        canonical_action_order(cyclic)
+    assert str(err.value) == message
+    cycles = [v for v in validate_category(cyclic).violations if v.code == "cycle"]
+    assert [(v.message, v.objects) for v in cycles] == [(message, ("a", "hits"))]
 
 
 def test_trivial_pair_cycle_is_not_a_cycle():

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -15,7 +16,7 @@ from cognilog.search import (
     search_functors,
 )
 
-from conftest import load_belog, load_log, random_elog
+from conftest import load_belog, load_log, nominalize, random_elog
 
 EMPTY = BeLog()
 EXHAUSTIVE = SearchConfig(max_candidates=10**6)
@@ -27,7 +28,14 @@ def test_weights_must_sum_to_one():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"max_candidates": 0}, {"max_candidates": -1}, {"beam_width": -1}]
+    "bad",
+    [
+        {"max_candidates": 0},
+        {"max_candidates": -1},
+        {"beam_width": -1},
+        {"weights": (float("nan"), 0.5, 0.5)},
+        {"weights": (2.0, -0.5, -0.5)},
+    ],
 )
 def test_config_rejects_out_of_range_sizes(bad):
     with pytest.raises(ValueError):
@@ -164,3 +172,33 @@ def test_nt_requires_parallel_functors(robot):
     h = Functor(src="worker", dst="robot", action_map={}, participant_map={})
     with pytest.raises(SourceTargetMismatchError):
         natural_transformation(f, h, robot)
+
+
+def _bfs_reachable(log, start):
+    """Objects reachable from start along who/cause arrows (start included)."""
+    succ = {a.id: (a.who, a.cause_s, a.cause_n) for a in log.actions}
+    seen, queue = {start}, deque([start])
+    while queue:
+        for nxt in succ.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def test_nt_agrees_with_arrow_bfs():
+    rng = random.Random(41)
+    for trial in range(300):
+        target = random_elog(rng, max_actions=8, slog=trial % 2 == 1, log_id="t")
+        if trial % 3 == 0:
+            target = nominalize(rng, target)
+        objects = sorted(target.object_ids())  # sentinels included
+
+        images = {}
+        for x in ("x0", "x1"):
+            fx = rng.choice(objects)
+            images[x] = (fx, fx if rng.random() < 0.3 else rng.choice(objects))
+        f = Functor("src", "t", {"x0": images["x0"][0]}, {"x1": images["x1"][0]})
+        g = Functor("src", "t", {"x0": images["x0"][1]}, {"x1": images["x1"][1]})
+        natural = all(gx in _bfs_reachable(target, fx) for fx, gx in images.values())
+        assert natural_transformation(f, g, target) == (images if natural else None)

@@ -111,7 +111,31 @@ def test_cli_validate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.elog"
     bad.write_text("#ELOG bad\nA a who=p foo=1\n")
     assert main(["validate", str(bad)]) == 1
-    assert "parse error" in capsys.readouterr().err
+    # the position is printed once
+    assert capsys.readouterr().err == (
+        "parse error at line 2, column 11: unknown key 'foo'\n"
+    )
+    bad.write_text("A a who=p\n")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "parse error at line 1, column 1: expected '#ELOG <id>' or '#SLOG <id>'\n"
+    )
+
+
+def test_load_prefixes_parse_errors_with_the_file_name(tmp_path):
+    (tmp_path / "bad.elog").write_text("#ELOG bad\nA a who=p foo=1\n")
+    with pytest.raises(ParseError) as err:
+        load(tmp_path)
+    assert str(err.value) == "line 2, column 11: bad.elog: unknown key 'foo'"
+    assert (err.value.line, err.value.column) == (2, 11)
+
+
+def test_cli_unreadable_log_path_is_an_error(capsys):
+    assert main(["validate", str(FIXTURES)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the OSError text varies by platform; the exit code and prefix do not
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_usage_error():
@@ -119,7 +143,9 @@ def test_cli_usage_error():
     assert main(["frobnicate"]) == 2
 
 
-@pytest.mark.parametrize("weights", ["0.5,0.5,x", "0.5,0.5,0.5"])
+@pytest.mark.parametrize(
+    "weights", ["0.5,0.5,x", "0.5,0.5,0.5", "nan,0.5,0.5", "2,-0.5,-0.5"]
+)
 def test_cli_bad_weights_are_usage_errors(weights, capsys):
     code = main(["match", _fx("robot.elog"), _fx("worker.slog"),
                  "--weights", weights])
