@@ -200,11 +200,6 @@ class CauseMatrices:
         return tuple(out)
 
     @cached_property
-    def tri_pairs(self) -> frozenset[tuple[str, str]]:
-        """(be done, do) id pairs of S_tri."""
-        return frozenset(self.S_tri.entry_ids())
-
-    @cached_property
     def core_masks(self) -> tuple[int, int]:
         """Bitmasks of the non-sentinel actions and participants."""
         actions = sum(
@@ -238,9 +233,6 @@ class CompletenessReport:
     who_eq_ok: bool = True
     causal_mismatches: tuple[tuple[str, str], ...] = ()
     who_mismatches: tuple[tuple[str, str], ...] = ()
-    # soft flag (not part of completeness): e-log trivial pairs land on
-    # s-log trivial pairs or collapse to one action
-    trivial_pairs_preserved: bool = True
 
     @property
     def complete(self) -> bool:
@@ -572,14 +564,6 @@ def evaluate_conversion(
         for i in _bits(converted[j] ^ expected):
             who_mism.append((s.participant_ids[i], s_ids[j]))
 
-    s_tri = s.tri_pairs
-    trivial_ok = True
-    for a, b in e.tri_pairs:
-        fa, fb = action_map.get(a), action_map.get(b)
-        if fa is not None and fb is not None and fa != fb and (fa, fb) not in s_tri:
-            trivial_ok = False
-            break
-
     return CompletenessReport(
         is_function=True,  # dict-valued maps send each object to one image
         zero_column_rule_ok=zero_ok,
@@ -590,7 +574,6 @@ def evaluate_conversion(
         who_eq_ok=not who_mism,
         causal_mismatches=tuple(sorted(causal)),
         who_mismatches=tuple(who_mism),
-        trivial_pairs_preserved=trivial_ok,
     )
 
 

@@ -201,7 +201,7 @@ def _run(args) -> int:
                 print(f"{name} is not an s-log", file=sys.stderr)
                 return 1
             library.append(s)
-        tree = comprehend(e, library, b, _config(args), max_depth=args.depth)
+        tree = comprehend(e, library, b, _config(args))
         if args.command == "comprehend":
             rows = []
             for node in tree.nodes():

@@ -121,6 +121,12 @@ class ELog:
     def nonsentinel_participants(self) -> tuple[Participant, ...]:
         return tuple(p for p in self.participants if p.id != SENTINEL_NOBODY)
 
+    @cached_property
+    def _causal(self) -> tuple[list[str], Optional[list[str]]]:
+        """The one Kahn pass over the non-sentinel actions: (canonical
+        order, cycle or None), shared by ordering and validation."""
+        return _causal_order({a.id: a for a in self.nonsentinel_actions})
+
     def object_ids(self) -> frozenset[str]:
         return frozenset(self.action_by_id) | frozenset(self.participant_by_id)
 
@@ -275,11 +281,10 @@ def canonical_action_order(log: ELog) -> list[str]:
     """Topological order of actions: timestamp ascending, "do" before
     "be done" within a trivial pair, id ascending; sentinels last.  Raises
     ``CausalCycleError`` naming a cycle of the cause arrows."""
-    order, cycle = _causal_order({a.id: a for a in log.nonsentinel_actions})
+    order, cycle = log._causal
     if cycle:
         raise CausalCycleError(_cycle_message(cycle))
-    order.extend(sorted(SENTINEL_ACTIONS))
-    return order
+    return order + sorted(SENTINEL_ACTIONS)
 
 
 def canonical_participant_order(log: ELog) -> list[str]:
@@ -414,13 +419,9 @@ def validate_category(log: ELog) -> ValidationReport:
                 )
             )
 
-    # acyclicity of the collapsed cause relation
-    valid_actions = {
-        a.id: a
-        for a in log.nonsentinel_actions
-        if a.cause_s in amap and a.cause_n in amap
-    }
-    cycle = _causal_order(valid_actions)[1]
+    # acyclicity of the collapsed cause relation (arrows to missing ids are
+    # reported above and left out of the edges)
+    cycle = log._causal[1]
     if cycle:
         out.append(Violation("cycle", _cycle_message(cycle), tuple(cycle[:-1])))
 

@@ -10,6 +10,7 @@ world.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -79,10 +80,12 @@ def abstract_episode(
     """All full abstractions of the episode into the scenario, best first.
 
     Arbitrariness is preserved: each admissible mapping is its own result.
+    The search keeps every result, so the cut to ``cfg.max_candidates``
+    comes after the non-full ones are dropped.
     """
-    cfg = replace(cfg, require_surjective=True)
+    search_cfg = replace(cfg, require_surjective=True, max_candidates=sys.maxsize)
     out: list[AbstractionResult] = []
-    for functor, score in search_functors(e, s, b, cfg):
+    for functor, score in search_functors(e, s, b, search_cfg):
         if not _is_full(e, s, functor):
             continue
         mapped = functor.mapped_objects()
@@ -95,6 +98,8 @@ def abstract_episode(
             if o not in mapped
         )
         out.append(AbstractionResult(functor, score, residue))
+        if len(out) == cfg.max_candidates:
+            break
     return out
 
 
@@ -398,13 +403,13 @@ def comprehend(
     library: list[SLog],
     b: BeLog,
     cfg: SearchConfig,
-    max_depth: int = 3,
 ) -> ComprehensionTree:
     """Hierarchical comprehension: cluster, abstract, compose, repeat.
 
     Level 0 partitions the story's actions into causal clusters; every node
     is matched against the scenario library (null match when nothing fits).
-    Adjacent nodes sharing a participant are composed into the next level.
+    Adjacent nodes sharing a participant are composed into the next level,
+    up to ``cfg.composition_depth`` levels.
     """
     levels: list[tuple[TreeNode, ...]] = []
     clusters = _causal_clusters(story)
@@ -418,7 +423,7 @@ def comprehend(
     levels.append(tuple(current))
 
     depth = 1
-    while depth < max_depth and len(current) > 1:
+    while depth < cfg.composition_depth and len(current) > 1:
         merged = _merge_adjacent(current)
         if merged is None:
             break
@@ -508,81 +513,80 @@ class Plan:
     assignment: dict[str, str]  # class participant -> world participant
 
 
-def _terminal_actions(s: SLog) -> list[Action]:
-    return [
-        a
+def _cause_pairs(s: SLog) -> set[tuple[str, str]]:
+    """(cause, effect) pairs of the non-sentinel cause arrows, both kinds."""
+    return {
+        (c, e)
         for a in s.nonsentinel_actions
-        if a.cause_n in SENTINEL_ACTIONS or a.cause_n == a.id
-    ]
+        for c, e in ((a.cause_s, a.id), (a.id, a.cause_n))
+        if c != e and c not in SENTINEL_ACTIONS and e not in SENTINEL_ACTIONS
+    }
+
+
+def _terminal_actions(s: SLog) -> list[Action]:
+    """Actions with no non-sentinel effect along either arrow kind."""
+    causes = {c for c, _ in _cause_pairs(s)}
+    return [a for a in s.nonsentinel_actions if a.id not in causes]
 
 
 def _initial_actions(s: SLog) -> list[Action]:
-    return [
-        a
-        for a in s.nonsentinel_actions
-        if a.cause_s in SENTINEL_ACTIONS or a.cause_s == a.id
-    ]
+    """Actions with no non-sentinel cause along either arrow kind."""
+    effects = {e for _, e in _cause_pairs(s)}
+    return [a for a in s.nonsentinel_actions if a.id not in effects]
 
 
 def _matches_goal(b: BeLog, action: Action, goal: str) -> bool:
     return action.id == goal or is_member(b, action.id, goal) and action.id != goal
 
 
-def _chain_slogs(chain: list[SLog]) -> SLog:
-    """Concatenate scenarios: each link's terminal action causes the next
-    link's initial action.  Object ids are prefixed by position on clash."""
+def _chain_slogs(chain: list[SLog], links: list[tuple[str, str]]) -> SLog:
+    """Concatenate scenarios: ``links[i]`` names the terminal action of
+    ``chain[i]`` and the initial action of ``chain[i + 1]`` that admitted
+    the link; the pair is wired both ways (cause-N forward, cause-S back)
+    and no other arrow changes.  Action ids are suffixed by position on
+    clash."""
+    # classes with equal ids are the same class and merge; only action ids
+    # are renamed on clash
     taken: set[str] = set()
+    renames: list[dict[str, str]] = []
+    for idx, s in enumerate(chain):
+        rename = {
+            a.id: a.id if a.id not in taken else f"{a.id}.{idx}"
+            for a in s.nonsentinel_actions
+        }
+        taken.update(rename.values())
+        renames.append(rename)
+    cause_s: dict[str, str] = {}
+    cause_n: dict[str, str] = {}
+    for idx, (term, ini) in enumerate(links):
+        t, i = renames[idx][term], renames[idx + 1][ini]
+        cause_n[t], cause_s[i] = i, t
+
     actions: list[Action] = []
     participants: dict[str, Participant] = {}
-    prev_terminal: str | None = None
     rank_offset = 0
-    for idx, s in enumerate(chain):
-        # classes with equal ids are the same class and merge; only action
-        # ids are renamed on clash
-        rename: dict[str, str] = {}
-        for a in s.nonsentinel_actions:
-            rename[a.id] = a.id if a.id not in taken else f"{a.id}.{idx}"
-        link_initial = _initial_actions(s)
+    for s, rename in zip(chain, renames):
         max_rank = 0
         for a in s.nonsentinel_actions:
             nid = rename[a.id]
-            taken.add(nid)
             t = a.t_start
             raw = RawData(t_start=t + rank_offset if t is not None else None)
-            cs = rename.get(a.cause_s, a.cause_s)
-            cn = rename.get(a.cause_n, a.cause_n)
-            if (
-                prev_terminal is not None
-                and link_initial
-                and a.id == link_initial[0].id
-                and a.cause_s in SENTINEL_ACTIONS
-            ):
-                cs = prev_terminal
             partner = rename.get(a.trivial_partner) if a.trivial_partner else None
             actions.append(
-                replace(a, id=nid, cause_s=cs, cause_n=cn,
-                        trivial_partner=partner, raw=raw)
+                replace(
+                    a, id=nid,
+                    cause_s=cause_s.get(nid, rename.get(a.cause_s, a.cause_s)),
+                    cause_n=cause_n.get(nid, rename.get(a.cause_n, a.cause_n)),
+                    trivial_partner=partner, raw=raw,
+                )
             )
             if t is not None:
                 max_rank = max(max_rank, t + rank_offset)
         for p in s.nonsentinel_participants:
             participants.setdefault(p.id, p)
-        terminals = _terminal_actions(s)
-        if terminals:
-            term_id = rename[terminals[0].id]
-            # link forward: terminal's cause-N arrow will point at the next
-            # initial action; patch once the next link is known
-            prev_terminal = term_id
         rank_offset = max_rank + 1
-    # patch terminal cause-N arrows onto the following initial actions
-    by_id = {a.id: a for a in actions}
-    for a in actions:
-        if a.cause_s in by_id and by_id[a.cause_s].cause_n in SENTINEL_ACTIONS:
-            cause = by_id[a.cause_s]
-            by_id[cause.id] = replace(cause, cause_n=a.id)
-    patched = list(by_id.values())
     chain_id = "+".join(s.id for s in chain)
-    return build_elog(chain_id, tuple(patched), tuple(participants.values()), slog=True)
+    return build_elog(chain_id, tuple(actions), tuple(participants.values()), slog=True)
 
 
 def plan(
@@ -604,33 +608,38 @@ def plan(
             f"no library scenario ends with {goal_action_class!r}"
         )
 
-    chains: list[list[SLog]] = []
+    # each chain with the (terminal, initial) pair that admitted each link
+    chains: list[tuple[list[SLog], list[tuple[str, str]]]] = []
 
-    def extend_back(chain: list[SLog]) -> None:
-        chains.append(list(chain))
+    def extend_back(chain: list[SLog], links: list[tuple[str, str]]) -> None:
+        chains.append((chain, links))
         if len(chain) >= max(cfg.composition_depth, 1):
             return
-        head = chain[0]
-        initials = _initial_actions(head)
+        initials = _initial_actions(chain[0])
         for s in library:
             if s.id in {c.id for c in chain}:
                 continue
-            for term in _terminal_actions(s):
-                if any(
-                    term.id == ini.id or mapping_compatibility(b, term.id, ini.id) > 0
+            link = next(
+                (
+                    (term.id, ini.id)
+                    for term in _terminal_actions(s)
                     for ini in initials
-                ):
-                    extend_back([s] + chain)
-                    break
+                    if term.id == ini.id or mapping_compatibility(b, term.id, ini.id) > 0
+                ),
+                None,
+            )
+            if link is not None:
+                extend_back([s] + chain, [link] + links)
 
     for s in sorted(ending, key=lambda s: s.id):
-        extend_back([s])
+        extend_back([s], [])
 
     world_parts = sorted(p.id for p in world.nonsentinel_participants)
     plans: list[Plan] = []
     seen: set[tuple] = set()
-    for chain in sorted(chains, key=lambda c: (len(c), [s.id for s in c])):
-        assembled = _chain_slogs(chain)
+    chains.sort(key=lambda c: (len(c[0]), [s.id for s in c[0]]))
+    for chain, links in chains:
+        assembled = _chain_slogs(chain, links)
         classes = sorted(p.id for p in assembled.nonsentinel_participants)
         candidates = {
             c: [

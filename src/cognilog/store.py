@@ -75,6 +75,24 @@ def _parse_kv(token: str, lineno: int, column: int) -> tuple[str, str]:
     return key, value
 
 
+def _read_keys(
+    fields: list[tuple[str, int]], keys: tuple[str, ...], lineno: int
+) -> tuple[dict[str, str], dict[str, int]]:
+    """The key=value fields of one line as (values, columns) by key; a key
+    outside ``keys`` or given twice is an error at its column."""
+    values: dict[str, str] = {}
+    cols: dict[str, int] = {}
+    for token, col in fields:
+        key, value = _parse_kv(token, lineno, col)
+        if key not in keys:
+            raise ParseError(f"unknown key {key!r}", lineno, col)
+        if key in values:
+            raise ParseError(f"duplicate key {key!r}", lineno, col)
+        values[key] = value
+        cols[key] = col
+    return values, cols
+
+
 def _parse_int(value: str, key: str, lineno: int, column: int) -> int:
     try:
         return int(value)
@@ -111,34 +129,19 @@ def parse_log(text: str) -> ELog:
             if len(fields) < 2:
                 raise ParseError("P line needs an id", lineno, tag_col)
             pid = fields[1][0]
+            kv, cols = _read_keys(fields[2:], _P_KEYS, lineno)
             kind = Kind.CLASS if slog else Kind.PLAIN
-            label = ""
-            for token, col in fields[2:]:
-                key, value = _parse_kv(token, lineno, col)
-                if key == "kind":
-                    try:
-                        kind = Kind(value)
-                    except ValueError:
-                        raise ParseError(f"unknown kind {value!r}", lineno, col)
-                elif key == "label":
-                    label = value
-                else:
-                    raise ParseError(f"unknown key {key!r}", lineno, col)
-            participants.append(Participant(id=pid, label=label, kind=kind))
+            if "kind" in kv:
+                try:
+                    kind = Kind(kv["kind"])
+                except ValueError:
+                    raise ParseError(f"unknown kind {kv['kind']!r}", lineno, cols["kind"])
+            participants.append(Participant(id=pid, label=kv.get("label", ""), kind=kind))
         elif tag == "A":
             if len(fields) < 2:
                 raise ParseError("A line needs an id", lineno, tag_col)
             aid = fields[1][0]
-            kv: dict[str, str] = {}
-            cols: dict[str, int] = {}
-            for token, col in fields[2:]:
-                key, value = _parse_kv(token, lineno, col)
-                if key not in _A_KEYS:
-                    raise ParseError(f"unknown key {key!r}", lineno, col)
-                if key in kv:
-                    raise ParseError(f"duplicate key {key!r}", lineno, col)
-                kv[key] = value
-                cols[key] = col
+            kv, cols = _read_keys(fields[2:], _A_KEYS, lineno)
             if "who" not in kv:
                 raise ParseError("A line needs who=", lineno, tag_col)
             ts = _parse_int(kv["ts"], "ts", lineno, cols["ts"]) if "ts" in kv else None
@@ -216,25 +219,17 @@ def parse_belog(text: str) -> BeLog:
         except ValueError:
             raise ParseError(f"unknown be-verb type {type_token!r}", lineno, type_col)
         source, target = fields[2][0], fields[3][0]
-        weight = 1.0
-        label = ""
-        for token, col in fields[4:]:
-            key, value = _parse_kv(token, lineno, col)
-            if key == "w":
-                try:
-                    weight = float(value)
-                except ValueError:
-                    raise ParseError(f"w must be a real, got {value!r}", lineno, col)
-            elif key == "label":
-                label = value
-            else:
-                raise ParseError(f"unknown key {key!r}", lineno, col)
+        kv, cols = _read_keys(fields[4:], _B_KEYS, lineno)
+        try:
+            weight = float(kv.get("w", 1.0))
+        except ValueError:
+            raise ParseError(f"w must be a real, got {kv['w']!r}", lineno, cols["w"])
         n += 1
         try:
             relations.append(
                 BeRelation(
                     id=f"b{n}", type=type_, source=source, target=target,
-                    weight=weight, label=label,
+                    weight=weight, label=kv.get("label", ""),
                 )
             )
         except ValueError as exc:
@@ -309,29 +304,25 @@ def save(store: Store, path: str | os.PathLike | None = None) -> None:
         (root / f"{name}.belog").write_text(format_belog(b), encoding="utf-8")
 
 
-def resolve_log(name: str) -> ELog:
-    """Load a log from a path, or from $COGNILOG_STORE by bare id."""
-    p = Path(name)
-    if p.exists():
-        return parse_log(p.read_text(encoding="utf-8"))
+def _resolve(name: str, suffixes: tuple[str, ...], parse):
+    """Parse the file at path ``name``, or else the first existing
+    ``$COGNILOG_STORE/<name><suffix>``."""
+    paths = [Path(name)]
     env = os.environ.get("COGNILOG_STORE")
     if env:
-        for ext in (".elog", ".slog"):
-            cand = Path(env) / f"{name}{ext}"
-            if cand.exists():
-                return parse_log(cand.read_text(encoding="utf-8"))
+        paths += [Path(env) / f"{name}{ext}" for ext in suffixes]
+    for p in paths:
+        if p.exists():
+            return parse(p.read_text(encoding="utf-8"))
     raise FileNotFoundError(name)
+
+
+def resolve_log(name: str) -> ELog:
+    """Load a log from a path, or from $COGNILOG_STORE by bare id."""
+    return _resolve(name, (".elog", ".slog"), parse_log)
 
 
 def resolve_belog(name: str | None) -> BeLog:
-    if name is None:
-        return BeLog()
-    p = Path(name)
-    if p.exists():
-        return parse_belog(p.read_text(encoding="utf-8"))
-    env = os.environ.get("COGNILOG_STORE")
-    if env:
-        cand = Path(env) / f"{name}.belog"
-        if cand.exists():
-            return parse_belog(cand.read_text(encoding="utf-8"))
-    raise FileNotFoundError(name)
+    """Load a be-log from a path, or from $COGNILOG_STORE by bare id; the
+    empty be-log when no name is given."""
+    return BeLog() if name is None else _resolve(name, (".belog",), parse_belog)

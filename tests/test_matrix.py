@@ -225,15 +225,9 @@ def _reference_report(e_m, s_m, amap, pmap):
     is_function, zero_ok, surjective, injective = check_function_rules(e_m, s_m, p)
     eq_s, eq_n, causal = check_causal_equations(e_m, s_m, p)
     who_ok, who = check_who_equation(e_m, s_m, p)
-    s_tri = set(s_m.S_tri.entry_ids())
-    trivial_ok = all(
-        amap.get(a) is None or amap.get(b) is None or amap[a] == amap[b]
-        or (amap[a], amap[b]) in s_tri
-        for a, b in e_m.S_tri.entry_ids()
-    )
     return CompletenessReport(
         is_function, zero_ok, surjective, injective, eq_s, eq_n, who_ok,
-        causal, who, trivial_ok,
+        causal, who,
     )
 
 

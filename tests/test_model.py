@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from cognilog import model
+from cognilog.boolmat import adjacency
 from cognilog.errors import (
     CausalCycleError,
     DanglingReferenceError,
@@ -177,6 +179,38 @@ def test_canonical_order_of_unvalidated_cyclic_log_names_the_cycle():
     assert str(err.value) == message
     cycles = [v for v in validate_category(cyclic).violations if v.code == "cycle"]
     assert [(v.message, v.objects) for v in cycles] == [(message, ("a", "hits"))]
+
+
+def test_cycle_is_reported_next_to_a_dangling_arrow():
+    actions = (
+        Action(id="a", who="p", cause_s="b", cause_n="ghost"),
+        Action(id="b", who="p", cause_s="a"),
+    )
+    report = validate_category(_canonicalize("x", actions, _p("p")))
+    assert [(v.code, v.objects) for v in report.violations] == [
+        ("dangling", ("a", "ghost")),
+        ("cycle", ("a", "b")),
+    ]
+    assert report.violations[1].message == "non-sentinel cause cycle: a -> b -> a"
+
+
+def test_build_then_adjacency_sorts_once(monkeypatch):
+    calls = []
+    kahn = model._causal_order
+    monkeypatch.setattr(
+        model, "_causal_order", lambda actions: calls.append(1) or kahn(actions)
+    )
+    log = build_elog(
+        "x",
+        (Action(id="a", who="p", cause_n="b"), Action(id="b", who="p", cause_s="a")),
+        _p("p"),
+    )
+    m = adjacency(log)
+    assert validate_category(log).ok
+    assert canonical_action_order(log) == list(m.action_ids) == [
+        "a", "b", "nothing", "unknown",
+    ]
+    assert len(calls) == 1
 
 
 def test_trivial_pair_cycle_is_not_a_cycle():

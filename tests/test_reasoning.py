@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from cognilog.model import (
 )
 from cognilog.reasoning import (
     _injective_assignments,
+    _is_full,
     abstract_episode,
     classify_story,
     comprehend,
@@ -24,7 +26,7 @@ from cognilog.reasoning import (
     infer_missing,
     plan,
 )
-from cognilog.search import SearchConfig
+from cognilog.search import SearchConfig, search_functors
 
 from conftest import load_belog, load_log, random_elog
 
@@ -50,6 +52,22 @@ def test_abstract_episode_returns_full_functors(robot, worker, robot_belog):
         assert res.score.report.complete
     dollies = {r.functor.participant_map["dolly"] for r in results[:2]}
     assert dollies == {"worker", "cargo"}
+
+
+def test_abstract_episode_cuts_after_dropping_non_full_results():
+    # the 154th pair: 6 full abstractions, 4 of them outside the top 10
+    rng = random.Random(3)
+    for _ in range(154):
+        e = random_elog(rng, 6, log_id="e")
+        s = random_elog(rng, 3, slog=True, log_id="s")
+    cfg = SearchConfig()
+    unbounded = SearchConfig(max_candidates=1000)
+    full = [f for f, _ in search_functors(e, s, EMPTY, unbounded) if _is_full(e, s, f)]
+    assert len(full) == 6
+    results = abstract_episode(e, s, EMPTY, cfg)
+    assert [r.functor for r in results] == full
+    top2 = abstract_episode(e, s, EMPTY, replace(cfg, max_candidates=2))
+    assert [r.functor for r in top2] == full[:2]
 
 
 # -- inference -------------------------------------------------------------
@@ -168,6 +186,12 @@ def test_comprehend_levels(worker, robot_belog):
     top = tree.levels[1][0]
     assert set(top.children) == {n.node_id for n in level0}
     assert top.slog_id == "worker"
+
+
+def test_comprehend_depth_comes_from_the_config(worker, robot_belog):
+    story = _two_scene_story()
+    cfg = SearchConfig(composition_depth=1)
+    assert len(comprehend(story, [worker], robot_belog, cfg).levels) == 1
 
 
 def test_comprehend_single_cluster(robot, worker, robot_belog):
@@ -293,6 +317,22 @@ def test_plan_order_on_story_world():
     ]
     assert [(p.slog_chain, p.assignment) for p in plans] == expected
     assert [p.elog.id for p in plans] == [f"plan_{i}" for i in range(12)]
+
+
+def test_plan_links_scenarios_through_the_admitting_pair():
+    library, world, b = _story_world(3)
+    plans = plan("sc2_a2", library, world, b, SearchConfig(max_candidates=12))
+    linked = next(p for p in plans if p.slog_chain == ("lib1", "lib2"))
+    assembled = linked.assembled_slog.nonsentinel_actions
+    arrows = [(a.id, a.cause_s, a.cause_n) for a in assembled]
+    assert arrows == [
+        ("sc1_a0", "unknown", "unknown"),
+        ("sc1_a1", "sc1_a0", "unknown"),
+        ("sc1_a2", "sc1_a1", "sc2_a0"),
+        ("sc2_a0", "sc1_a2", "unknown"),
+        ("sc2_a1", "sc2_a0", "unknown"),
+        ("sc2_a2", "sc2_a1", "unknown"),
+    ]
 
 
 def test_injective_assignments_are_lazy_and_ordered():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cognilog.belog import BeVerbType
+from cognilog.belog import BeLog, BeVerbType
 from cognilog.cli import main
 from cognilog.errors import ParseError
 from cognilog.model import SLog
@@ -14,10 +14,12 @@ from cognilog.store import (
     load,
     parse_belog,
     parse_log,
+    resolve_belog,
+    resolve_log,
     save,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_belog, load_log
 
 
 ALL_FIXTURES = sorted(FIXTURES.iterdir())
@@ -43,6 +45,28 @@ def test_parse_error_unknown_key_with_position():
         parse_log("#ELOG x\nA a who=p foo=1\n")
     assert err.value.line == 2
     assert err.value.column == 11
+
+
+def test_parse_error_repeated_key_on_every_line_kind():
+    cases = (
+        (parse_log, '#ELOG x\nP p label="a" label="b"\n', 2, 15, "label"),
+        (parse_log, "#ELOG x\nP p\nA a who=p ts=1 ts=2\n", 3, 16, "ts"),
+        (parse_belog, "B Similar a b w=0.5 w=0.7\n", 1, 21, "w"),
+    )
+    for parse, text, line, column, key in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert err.value.message == f"duplicate key {key!r}"
+
+
+def test_parse_error_names_a_bad_key_before_a_bad_value():
+    with pytest.raises(ParseError) as err:
+        parse_log("#ELOG x\nP p kind=odd foo=1\n")
+    assert (err.value.column, err.value.message) == (14, "unknown key 'foo'")
+    with pytest.raises(ParseError) as err:
+        parse_belog("B Similar a b w=x w=1\n")
+    assert (err.value.column, err.value.message) == (19, "duplicate key 'w'")
 
 
 def test_parse_error_bad_header():
@@ -231,6 +255,16 @@ def test_cli_plan_no_goal(capsys):
 def test_cli_env_store_resolution(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COGNILOG_STORE", str(FIXTURES))
     assert main(["validate", "bob_alice"]) == 0
+
+
+def test_bare_ids_resolve_through_the_store(monkeypatch):
+    monkeypatch.setenv("COGNILOG_STORE", str(FIXTURES))
+    assert resolve_belog("robot") == load_belog("robot.belog")
+    assert resolve_log("robot") == load_log("robot.elog")
+    assert resolve_belog(None) == BeLog()
+    monkeypatch.delenv("COGNILOG_STORE")
+    with pytest.raises(FileNotFoundError):
+        resolve_belog("robot")
 
 
 def test_cli_missing_file(capsys):
