@@ -11,9 +11,10 @@ matrices P_S and P_E.
 conjugating a closure through P_S relabels its entries and the who equation
 compares one performer set per column; both read the per-log index that a
 ``CauseMatrices`` derives once (index maps, closures, performers) and that
-``adjacency`` compiles once per log.  The matrix-form ``conversion_pair`` /
-``check_*`` functions compute the same rules from the matrices and are the
-reference the tests compare against.
+``adjacency`` compiles once per log.  ``conversion_pair`` builds P_S and P_E
+themselves; the matrix-form rules over them live beside the tests
+(``tests/matrix_reference.py``), as the referee ``evaluate_conversion`` is
+compared against.
 """
 
 from __future__ import annotations
@@ -123,18 +124,6 @@ class BoolMatrix:
             and self.col_ids == other.col_ids
             and self.rows == other.rows
         )
-
-    def column_mask(self, j: int) -> int:
-        return sum((row >> j & 1) << i for i, row in enumerate(self.rows))
-
-    def nonzero_rows(self) -> set[int]:
-        return {i for i, bits in enumerate(self.rows) if bits}
-
-    def nonzero_cols(self) -> set[int]:
-        acc = 0
-        for bits in self.rows:
-            acc |= bits
-        return {j for j in range(len(self.col_ids)) if acc >> j & 1}
 
     def dump(self, name: str) -> str:
         """Debug dump: header line plus one 0/1 string per row."""
@@ -282,26 +271,14 @@ def adjacency(log: ELog) -> CauseMatrices:
         i = a_index[a.id]
         if a.who in p_index:
             E.rows[p_index[a.who]] |= 1 << i
-        if (
-            a.cause_s in a_index
-            and a.cause_s not in SENTINEL_ACTIONS
-            and a.cause_s != a.id
-            and a.id not in SENTINEL_ACTIONS
-        ):
-            j = a_index[a.cause_s]
-            S.set(i, j)
-            if a.trivial_partner == a.cause_s:
-                S_tri.set(i, j)
-        if (
-            a.cause_n in a_index
-            and a.cause_n not in SENTINEL_ACTIONS
-            and a.cause_n != a.id
-            and a.id not in SENTINEL_ACTIONS
-        ):
-            j = a_index[a.cause_n]
-            N.set(i, j)
-            if a.trivial_partner == a.cause_n:
-                N_tri.set(i, j)
+        if a.id in SENTINEL_ACTIONS:
+            continue
+        for target, C, tri in ((a.cause_s, S, S_tri), (a.cause_n, N, N_tri)):
+            if target in a_index and target not in SENTINEL_ACTIONS and target != a.id:
+                j = a_index[target]
+                C.set(i, j)
+                if a.trivial_partner == target:
+                    tri.set(i, j)
 
     m = log.__dict__["_adjacency"] = CauseMatrices(a_ids, p_ids, S, N, S_tri, N_tri, E)
     return m
@@ -366,116 +343,6 @@ def conversion_pair(
     return ConversionPair(P_S, P_E)
 
 
-def _image_indices(p: BoolMatrix) -> set[int]:
-    return p.nonzero_rows()
-
-
-def check_causal_equations(
-    e: CauseMatrices, s: CauseMatrices, p: ConversionPair
-) -> tuple[bool, bool, tuple[tuple[str, str], ...]]:
-    """Boolean functor equations for the cause structure.
-
-    For each direction, both sides are the identity plus a closure: the s-log
-    side closes its own cause arrows, the converted side conjugates the e-log
-    closure through P_S.  For partial functors equality is only required on
-    the image of P_S.
-    """
-    ok_s, mism_s = _one_causal_equation(e.S, e.N_tri, s.S, s.N_tri, p.P_S, s.action_ids)
-    ok_n, mism_n = _one_causal_equation(e.N, e.S_tri, s.N, s.S_tri, p.P_S, s.action_ids)
-    return ok_s, ok_n, tuple(sorted(set(mism_s + mism_n)))
-
-
-def _one_causal_equation(
-    C_e: BoolMatrix,
-    tri_e: BoolMatrix,
-    C_s: BoolMatrix,
-    tri_s: BoolMatrix,
-    P_S: BoolMatrix,
-    s_ids: tuple[str, ...],
-) -> tuple[bool, list[tuple[str, str]]]:
-    closure_e = causal_closure(C_e | tri_e, allow_cycles=True)
-    closure_s = causal_closure(C_s | tri_s, allow_cycles=True)
-    ident = BoolMatrix.identity(s_ids)
-    lhs = closure_s | ident
-    rhs = (P_S @ closure_e @ P_S.transpose()) | ident
-    image = _image_indices(P_S)
-    mismatches = [
-        (s_ids[i], s_ids[j])
-        for i in image
-        for j in image
-        if lhs.get(i, j) != rhs.get(i, j)
-    ]
-    return not mismatches, mismatches
-
-
-def check_who_equation(
-    e: CauseMatrices, s: CauseMatrices, p: ConversionPair
-) -> tuple[bool, tuple[tuple[str, str], ...]]:
-    """Converted who arrows must coincide with the s-log's on every mapped
-    action column."""
-    converted = p.P_E @ e.E @ p.P_S.transpose()
-    image = _image_indices(p.P_S)
-    mismatches = []
-    for j in sorted(image):
-        if converted.column_mask(j) != s.E.column_mask(j):
-            for i in range(len(s.participant_ids)):
-                if converted.get(i, j) != s.E.get(i, j):
-                    mismatches.append((s.participant_ids[i], s.action_ids[j]))
-    return not mismatches, tuple(mismatches)
-
-
-def check_function_rules(
-    e: CauseMatrices,
-    s: CauseMatrices,
-    p: ConversionPair,
-) -> tuple[bool, bool, bool, bool]:
-    """(is_function, zero_column_rule_ok, surjective, injective).
-
-    is_function: at most one entry per column of P_S and P_E.
-    zero-column rule: an action whose performer is unmapped must be unmapped.
-    surjective: every non-sentinel s-log row is hit.
-    injective (e-log essentiality): every non-sentinel e-log column is hit.
-    """
-    is_function = all(
-        p.P_S.column_mask(j).bit_count() <= 1 for j in range(len(e.action_ids))
-    ) and all(
-        p.P_E.column_mask(j).bit_count() <= 1 for j in range(len(e.participant_ids))
-    )
-
-    converted_who = p.P_E @ e.E
-    zero_ok = all(
-        p.P_S.column_mask(j) == 0
-        for j in range(len(e.action_ids))
-        if converted_who.column_mask(j) == 0
-    )
-
-    hit_s_actions = p.P_S.nonzero_rows()
-    hit_s_parts = p.P_E.nonzero_rows()
-    surjective = all(
-        i in hit_s_actions
-        for i, aid in enumerate(s.action_ids)
-        if aid not in SENTINEL_ACTIONS
-    ) and all(
-        i in hit_s_parts
-        for i, pid in enumerate(s.participant_ids)
-        if pid != SENTINEL_NOBODY
-    )
-
-    mapped_e_actions = p.P_S.nonzero_cols()
-    mapped_e_parts = p.P_E.nonzero_cols()
-    injective = all(
-        j in mapped_e_actions
-        for j, aid in enumerate(e.action_ids)
-        if aid not in SENTINEL_ACTIONS
-    ) and all(
-        j in mapped_e_parts
-        for j, pid in enumerate(e.participant_ids)
-        if pid != SENTINEL_NOBODY
-    )
-
-    return is_function, zero_ok, surjective, injective
-
-
 def _relabel(closure: BoolMatrix, f: dict[int, int], size: int) -> list[int]:
     """Rows of P_S @ closure @ P_S^T for the function f (e index -> s index):
     entry (f(u), f(v)) is set iff closure[u, v] for mapped u and v."""
@@ -512,8 +379,7 @@ def evaluate_conversion(
     Sentinel images are forced as in ``conversion_pair``.  The maps are
     dicts, hence functions, so each matrix equation is evaluated on the
     per-log indices of ``e`` and ``s`` by relabelling: the report equals the
-    one assembled from ``check_function_rules``, ``check_causal_equations``
-    and ``check_who_equation``.
+    one the matrix-form rules assemble from the ``conversion_pair`` matrices.
     """
     full_amap = dict(action_map)
     for sid in SENTINEL_ACTIONS:

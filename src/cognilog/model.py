@@ -302,11 +302,12 @@ def build_elog(
     """Assemble and validate a log from action records.
 
     Missing cause targets default to ``unknown``; sentinels are always
-    inserted.  Raises on duplicate or unwritable ids (empty, whitespace, a
-    double quote), dangling references, and non-sentinel cause cycles (after
-    collapsing trivial pairs).
+    inserted, so a record that reuses a sentinel id is a duplicate.  Raises
+    on duplicate or unwritable ids (empty, whitespace, a double quote),
+    dangling references, and non-sentinel cause cycles (after collapsing
+    trivial pairs).
     """
-    seen: set[str] = set()
+    seen = set(SENTINELS)
     for obj in list(records) + list(participants):
         if obj.id in seen:
             raise DuplicateIdError(f"duplicate id {obj.id!r}")

@@ -412,39 +412,28 @@ def comprehend(
     up to ``cfg.composition_depth`` levels.
     """
     levels: list[tuple[TreeNode, ...]] = []
-    clusters = _causal_clusters(story)
-    current: list[TreeNode] = []
-    for i, objs in enumerate(clusters):
-        sub = extract_subepisode(story, objs)
-        slog_id, functor, score = _best_match(sub, library, b, cfg)
-        current.append(
-            TreeNode(f"n0.{i}", 0, objs, sub, slog_id, functor, score)
-        )
-    levels.append(tuple(current))
-
-    depth = 1
-    while depth < cfg.composition_depth and len(current) > 1:
-        merged = _merge_adjacent(current)
-        if merged is None:
-            break
-        nxt: list[TreeNode] = []
-        for i, (objs, children) in enumerate(merged):
+    groups = [(objs, []) for objs in _causal_clusters(story)]
+    for depth in range(cfg.composition_depth):
+        if depth:
+            groups = _merge_adjacent(levels[-1])
+            if groups is None:
+                break
+        nodes: list[TreeNode] = []
+        for i, (objs, children) in enumerate(groups):
             sub = extract_subepisode(story, objs)
             slog_id, functor, score = _best_match(sub, library, b, cfg)
-            nxt.append(
+            nodes.append(
                 TreeNode(
                     f"n{depth}.{i}", depth, objs, sub, slog_id, functor, score,
                     children=tuple(children),
                 )
             )
-        levels.append(tuple(nxt))
-        current = nxt
-        depth += 1
+        levels.append(tuple(nodes))
     return ComprehensionTree(tuple(levels))
 
 
 def _merge_adjacent(
-    nodes: list[TreeNode],
+    nodes: tuple[TreeNode, ...],
 ) -> list[tuple[frozenset[str], list[str]]] | None:
     """Union nodes that share a non-sentinel object; None when nothing
     merges."""
@@ -564,9 +553,10 @@ def _chain_slogs(chain: list[SLog], links: list[tuple[str, str]]) -> SLog:
 
     actions: list[Action] = []
     participants: dict[str, Participant] = {}
-    rank_offset = 0
+    # ranks only grow along the chain, also past a scenario with no
+    # timestamps, so no action ranks below a transitive cause
+    rank_offset = max_rank = 0
     for s, rename in zip(chain, renames):
-        max_rank = 0
         for a in s.nonsentinel_actions:
             nid = rename[a.id]
             t = a.t_start
@@ -613,7 +603,7 @@ def plan(
 
     def extend_back(chain: list[SLog], links: list[tuple[str, str]]) -> None:
         chains.append((chain, links))
-        if len(chain) >= max(cfg.composition_depth, 1):
+        if len(chain) >= cfg.composition_depth:
             return
         initials = _initial_actions(chain[0])
         for s in library:

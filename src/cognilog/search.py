@@ -67,7 +67,6 @@ class SearchConfig:
     max_candidates: int = 10
     require_surjective: bool = True
     require_injective: bool = True
-    beam_width: int = 0  # 0 = exhaustive backtracking
     composition_depth: int = 3
 
     def __post_init__(self):
@@ -79,8 +78,8 @@ class SearchConfig:
             raise ValueError("min_compatibility must be in [0, 1]")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be at least 1")
-        if self.beam_width < 0:
-            raise ValueError("beam_width must not be negative")
+        if self.composition_depth < 1:
+            raise ValueError("composition_depth must be at least 1")
 
 
 def identity_functor(log: ELog) -> Functor:
@@ -292,7 +291,6 @@ def search_functors(
         x = e_actions[i]
         p = who_e[x]
         p_is_part = p in e.participant_by_id and p != SENTINEL_NOBODY
-        options = []
         for y in s_actions:
             if not compat_ok(x, y):
                 continue
@@ -308,12 +306,6 @@ def search_functors(
                     continue
             if not consistent_with(x, y, amap):
                 continue
-            options.append(y)
-        if cfg.beam_width > 0:
-            options.sort(key=lambda y: (-mapping_compatibility(b, x, y), y))
-            options = options[: cfg.beam_width]
-        for y in options:
-            q = who_s[y]
             amap[x] = y
             added = p_is_part and p not in pmap and q in s.participant_by_id
             if added:

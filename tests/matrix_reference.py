@@ -1,0 +1,142 @@
+"""Matrix-form completeness rules: the referee for ``evaluate_conversion``.
+
+Each rule of the paper's Boolean functor equations is computed here from the
+adjacency matrices and the conversion matrices P_S/P_E, with matrix products
+and column masks.  ``cognilog.boolmat.evaluate_conversion`` computes the same
+report by relabelling the per-log index; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+from cognilog.boolmat import (
+    BoolMatrix,
+    CauseMatrices,
+    ConversionPair,
+    causal_closure,
+)
+from cognilog.model import SENTINEL_ACTIONS, SENTINEL_NOBODY
+
+
+def column_mask(m: BoolMatrix, j: int) -> int:
+    return sum((row >> j & 1) << i for i, row in enumerate(m.rows))
+
+
+def nonzero_rows(m: BoolMatrix) -> set[int]:
+    return {i for i, bits in enumerate(m.rows) if bits}
+
+
+def nonzero_cols(m: BoolMatrix) -> set[int]:
+    acc = 0
+    for bits in m.rows:
+        acc |= bits
+    return {j for j in range(len(m.col_ids)) if acc >> j & 1}
+
+
+def _image_indices(p: BoolMatrix) -> set[int]:
+    return nonzero_rows(p)
+
+
+def check_causal_equations(
+    e: CauseMatrices, s: CauseMatrices, p: ConversionPair
+) -> tuple[bool, bool, tuple[tuple[str, str], ...]]:
+    """Boolean functor equations for the cause structure.
+
+    For each direction, both sides are the identity plus a closure: the s-log
+    side closes its own cause arrows, the converted side conjugates the e-log
+    closure through P_S.  For partial functors equality is only required on
+    the image of P_S.
+    """
+    ok_s, mism_s = _one_causal_equation(e.S, e.N_tri, s.S, s.N_tri, p.P_S, s.action_ids)
+    ok_n, mism_n = _one_causal_equation(e.N, e.S_tri, s.N, s.S_tri, p.P_S, s.action_ids)
+    return ok_s, ok_n, tuple(sorted(set(mism_s + mism_n)))
+
+
+def _one_causal_equation(
+    C_e: BoolMatrix,
+    tri_e: BoolMatrix,
+    C_s: BoolMatrix,
+    tri_s: BoolMatrix,
+    P_S: BoolMatrix,
+    s_ids: tuple[str, ...],
+) -> tuple[bool, list[tuple[str, str]]]:
+    closure_e = causal_closure(C_e | tri_e, allow_cycles=True)
+    closure_s = causal_closure(C_s | tri_s, allow_cycles=True)
+    ident = BoolMatrix.identity(s_ids)
+    lhs = closure_s | ident
+    rhs = (P_S @ closure_e @ P_S.transpose()) | ident
+    image = _image_indices(P_S)
+    mismatches = [
+        (s_ids[i], s_ids[j])
+        for i in image
+        for j in image
+        if lhs.get(i, j) != rhs.get(i, j)
+    ]
+    return not mismatches, mismatches
+
+
+def check_who_equation(
+    e: CauseMatrices, s: CauseMatrices, p: ConversionPair
+) -> tuple[bool, tuple[tuple[str, str], ...]]:
+    """Converted who arrows must coincide with the s-log's on every mapped
+    action column."""
+    converted = p.P_E @ e.E @ p.P_S.transpose()
+    image = _image_indices(p.P_S)
+    mismatches = []
+    for j in sorted(image):
+        if column_mask(converted, j) != column_mask(s.E, j):
+            for i in range(len(s.participant_ids)):
+                if converted.get(i, j) != s.E.get(i, j):
+                    mismatches.append((s.participant_ids[i], s.action_ids[j]))
+    return not mismatches, tuple(mismatches)
+
+
+def check_function_rules(
+    e: CauseMatrices,
+    s: CauseMatrices,
+    p: ConversionPair,
+) -> tuple[bool, bool, bool, bool]:
+    """(is_function, zero_column_rule_ok, surjective, injective).
+
+    is_function: at most one entry per column of P_S and P_E.
+    zero-column rule: an action whose performer is unmapped must be unmapped.
+    surjective: every non-sentinel s-log row is hit.
+    injective (e-log essentiality): every non-sentinel e-log column is hit.
+    """
+    is_function = all(
+        column_mask(p.P_S, j).bit_count() <= 1 for j in range(len(e.action_ids))
+    ) and all(
+        column_mask(p.P_E, j).bit_count() <= 1 for j in range(len(e.participant_ids))
+    )
+
+    converted_who = p.P_E @ e.E
+    zero_ok = all(
+        column_mask(p.P_S, j) == 0
+        for j in range(len(e.action_ids))
+        if column_mask(converted_who, j) == 0
+    )
+
+    hit_s_actions = nonzero_rows(p.P_S)
+    hit_s_parts = nonzero_rows(p.P_E)
+    surjective = all(
+        i in hit_s_actions
+        for i, aid in enumerate(s.action_ids)
+        if aid not in SENTINEL_ACTIONS
+    ) and all(
+        i in hit_s_parts
+        for i, pid in enumerate(s.participant_ids)
+        if pid != SENTINEL_NOBODY
+    )
+
+    mapped_e_actions = nonzero_cols(p.P_S)
+    mapped_e_parts = nonzero_cols(p.P_E)
+    injective = all(
+        j in mapped_e_actions
+        for j, aid in enumerate(e.action_ids)
+        if aid not in SENTINEL_ACTIONS
+    ) and all(
+        j in mapped_e_parts
+        for j, pid in enumerate(e.participant_ids)
+        if pid != SENTINEL_NOBODY
+    )
+
+    return is_function, zero_ok, surjective, injective

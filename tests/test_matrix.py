@@ -9,17 +9,19 @@ from cognilog.boolmat import (
     adjacency,
     causal_closure,
     causal_closure_with_stats,
-    check_causal_equations,
-    check_function_rules,
-    check_who_equation,
     conversion_pair,
     dump_matrices,
     evaluate_conversion,
 )
 from cognilog.errors import DimensionMismatchError, NotTriangularError, UnknownObjectError
-from cognilog.model import Action, ELog, Participant, build_elog
+from cognilog.model import SENTINEL_ACTIONS, Action, ELog, Participant, build_elog
 
 from conftest import load_log, nominalize, random_elog
+from matrix_reference import (
+    check_causal_equations,
+    check_function_rules,
+    check_who_equation,
+)
 
 
 def _random_dag_matrix(rng, n):
@@ -106,13 +108,24 @@ def test_bob_alice_adjacency():
 def test_adjacency_strictly_triangular():
     rng = random.Random(17)
     for _ in range(40):
-        m = adjacency(random_elog(rng))
+        log = random_elog(rng)
+        m = adjacency(log)
         ns = len(m.action_ids) - 2  # sentinels trail the order
         for i in range(ns):
             for j in range(i, ns):
                 assert not m.S.get(i, j)  # S strictly lower
             for j in range(0, i + 1):
                 assert not m.N.get(i, j)  # N strictly upper
+        # each entry is one of the log's own arrows, and no arrow is missing
+        for kind, C, tri in (("cause_s", m.S, m.S_tri), ("cause_n", m.N, m.N_tri)):
+            arrows = {
+                (a.id, getattr(a, kind)) for a in log.nonsentinel_actions
+                if getattr(a, kind) not in SENTINEL_ACTIONS and getattr(a, kind) != a.id
+            }
+            assert set(C.entry_ids()) == arrows
+            assert set(tri.entry_ids()) == {
+                (x, y) for x, y in arrows if log.action_by_id[x].trivial_partner == y
+            }
 
 
 def test_adjacency_is_compiled_once_per_log():

@@ -59,6 +59,13 @@ def test_duplicate_id_rejected():
             (Action(id="a", who="p"), Action(id="a", who="p")),
             _p("p"),
         )
+    # sentinels are always inserted, so a record reusing one is a duplicate
+    for records, parts, sid in (
+        ((Action(id="nothing", who="bob"),), _p("bob"), "nothing"),
+        ((), _p("nobody"), "nobody"),
+    ):
+        with pytest.raises(DuplicateIdError, match=f"duplicate id '{sid}'"):
+            build_elog("x", records, parts)
 
 
 def test_validate_reports_each_duplicate_id_once():

@@ -17,6 +17,7 @@ from cognilog.model import (
     validate_category,
 )
 from cognilog.reasoning import (
+    _chain_slogs,
     _injective_assignments,
     _is_full,
     abstract_episode,
@@ -333,6 +334,31 @@ def test_plan_links_scenarios_through_the_admitting_pair():
         ("sc2_a1", "sc2_a0", "unknown"),
         ("sc2_a2", "sc2_a1", "unknown"),
     ]
+
+
+def test_chain_ranks_keep_growing_past_an_untimed_scenario():
+    def scenario(sid, *steps):
+        actions = tuple(
+            Action(
+                id=aid, who="agent",
+                cause_s=steps[k - 1][0] if k else "unknown",
+                cause_n=steps[k + 1][0] if k + 1 < len(steps) else "unknown",
+                raw=RawData(t_start=t, t_end=t),
+            )
+            for k, (aid, t) in enumerate(steps)
+        )
+        return build_elog(
+            sid, actions, (Participant(id="agent", kind=Kind.CLASS),), slog=True
+        )
+
+    chain = [
+        scenario("s1", ("a", 0), ("b", 5)),
+        scenario("s2", ("c", None)),
+        scenario("s3", ("d", 0)),
+    ]
+    assembled = _chain_slogs(chain, [("b", "c"), ("c", "d")])
+    ranks = {a.id: a.t_start for a in assembled.nonsentinel_actions}
+    assert ranks == {"a": 0, "b": 5, "c": None, "d": 6}
 
 
 def test_injective_assignments_are_lazy_and_ordered():

@@ -32,9 +32,10 @@ def test_weights_must_sum_to_one():
     [
         {"max_candidates": 0},
         {"max_candidates": -1},
-        {"beam_width": -1},
+        {"composition_depth": 0},
         {"weights": (float("nan"), 0.5, 0.5)},
         {"weights": (2.0, -0.5, -0.5)},
+        {"composition_depth": -3},
     ],
 )
 def test_config_rejects_out_of_range_sizes(bad):
@@ -73,17 +74,6 @@ def test_min_compatibility_prunes(robot, worker, robot_belog):
     results = search_functors(robot, worker, robot_belog, cfg)
     # every surviving pair must clear the bar, so the mean does too
     assert all(s.similarity >= 0.9 for _, s in results)
-
-
-def test_beam_width_limits_branching(robot, worker, robot_belog):
-    wide = search_functors(robot, worker, robot_belog, SearchConfig())
-    narrow = search_functors(
-        robot, worker, robot_belog, SearchConfig(beam_width=1)
-    )
-    assert len(narrow) <= len(wide)
-    narrow_keys = {f.map_key() for f, _ in narrow}
-    wide_keys = {f.map_key() for f, _ in wide}
-    assert narrow_keys <= wide_keys
 
 
 def test_brute_force_guard():

@@ -186,6 +186,18 @@ def test_cli_bad_max_candidates_are_usage_errors(count, capsys):
     assert "usage error" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+@pytest.mark.parametrize("command", ["comprehend", "plan"])
+def test_cli_bad_depth_is_a_usage_error(command, depth, capsys):
+    logs = [_fx("robot.elog"), _fx("worker.slog")]
+    if command == "plan":
+        logs.insert(0, "is_carried")
+    code = main([command, *logs, "--belog", _fx("robot.belog"), "--depth", depth])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and captured.out == ""
+
+
 def test_cli_match_prints_both_mappings(capsys):
     code = main([
         "match", _fx("robot.elog"), _fx("worker.slog"),
