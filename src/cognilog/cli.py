@@ -30,8 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "tsv"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def belog(p: argparse.ArgumentParser) -> None:
         p.add_argument("--belog", default=None)
+
+    def common(p: argparse.ArgumentParser) -> None:
+        """--belog plus the flags every command that builds a SearchConfig reads."""
+        belog(p)
         p.add_argument("--weights", default=None,
                        help="structural,temporal,similarity (sum 1)")
         p.add_argument("--min-compat", type=float, default=0.0)
@@ -61,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("elog")
     p.add_argument("actions", nargs="+")
     p.add_argument("--out", default=None)
-    common(p)
+    belog(p)
 
     p = sub.add_parser("comprehend")
     p.add_argument("elog")

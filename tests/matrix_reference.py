@@ -2,8 +2,10 @@
 
 Each rule of the paper's Boolean functor equations is computed here from the
 adjacency matrices and the conversion matrices P_S/P_E, with matrix products
-and column masks.  ``cognilog.boolmat.evaluate_conversion`` computes the same
-report by relabelling the per-log index; the tests compare the two.
+and column masks; the closures come from the power series
+``causal_closure_with_stats``, not from the ``causal_closure`` kernel.
+``cognilog.boolmat.evaluate_conversion`` computes the same report by
+relabelling the per-log index; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from cognilog.boolmat import (
     BoolMatrix,
     CauseMatrices,
     ConversionPair,
-    causal_closure,
+    causal_closure_with_stats,
 )
 from cognilog.model import SENTINEL_ACTIONS, SENTINEL_NOBODY
 
@@ -59,8 +61,8 @@ def _one_causal_equation(
     P_S: BoolMatrix,
     s_ids: tuple[str, ...],
 ) -> tuple[bool, list[tuple[str, str]]]:
-    closure_e = causal_closure(C_e | tri_e, allow_cycles=True)
-    closure_s = causal_closure(C_s | tri_s, allow_cycles=True)
+    closure_e, _ = causal_closure_with_stats(C_e | tri_e, allow_cycles=True)
+    closure_s, _ = causal_closure_with_stats(C_s | tri_s, allow_cycles=True)
     ident = BoolMatrix.identity(s_ids)
     lhs = closure_s | ident
     rhs = (P_S @ closure_e @ P_S.transpose()) | ident

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cognilog.belog import BeLog, BeRelation, BeVerbType, similarity_by_characteristics
-from cognilog.boolmat import BoolMatrix, causal_closure
+from cognilog.boolmat import BoolMatrix, causal_closure, causal_closure_with_stats
+from cognilog.errors import NotTriangularError
 from cognilog.model import SENTINELS, Action, Kind, Participant, RawData, build_elog
 from cognilog.store import format_belog, format_log, parse_belog, parse_log
 
@@ -37,6 +38,17 @@ def dag_matrices(draw):
     return m
 
 
+@st.composite
+def digraph_matrices(draw):
+    """Any square matrix: cycles, self-loops and the empty matrix included."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    ids = tuple(f"v{i}" for i in range(n))
+    m = BoolMatrix.zeros(ids, ids)
+    for i in range(n):
+        m.rows[i] = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return m
+
+
 @given(char_belogs())
 def test_similarity_bounds_and_identity(b):
     s = similarity_by_characteristics(b, "A", "B")
@@ -58,6 +70,19 @@ def test_closure_is_idempotent_and_monotone(m):
     assert causal_closure(c, allow_cycles=True) == c
     for i, j in m.entries():
         assert c.get(i, j)
+
+
+@settings(max_examples=150)
+@given(digraph_matrices(), st.booleans())
+def test_closure_kernel_equals_power_series(m, allow_cycles):
+    def outcome(closure):
+        try:
+            return closure(m, allow_cycles=allow_cycles).rows
+        except NotTriangularError as exc:
+            return str(exc)
+
+    referee = outcome(lambda x, **kw: causal_closure_with_stats(x, **kw)[0])
+    assert outcome(causal_closure) == referee
 
 
 @settings(max_examples=60)

@@ -252,6 +252,18 @@ def test_cli_gen_slog(capsys):
     assert "P carrier_class" in out
 
 
+@pytest.mark.parametrize("flag", [
+    ["--depth", "0"], ["--weights", "x"], ["--min-compat", "0.5"],
+    ["--max-candidates", "-5"],
+])
+def test_cli_gen_slog_rejects_search_flags(flag, capsys):
+    # gen-slog builds no SearchConfig, so it does not take the search flags
+    code = main(["gen-slog", _fx("robot.elog"), "carried", *flag])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+
+
 def test_cli_dump_matrices(capsys):
     assert main(["dump-matrices", _fx("bob_alice.elog")]) == 0
     out = capsys.readouterr().out
