@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import EmptyClassError, NotInClassError
-from .model import RawData
+from .model import RawData, _writable_id
 
 
 class BeVerbType(Enum):
@@ -40,6 +40,9 @@ class BeRelation:
     raw: RawData = RawData()
 
     def __post_init__(self):
+        for end in (self.source, self.target):
+            if not _writable_id(end):
+                raise ValueError(f"invalid id {end!r} in relation {self.id!r}")
         if not 0.0 < self.weight <= 1.0:
             raise ValueError(f"weight must be in (0, 1], got {self.weight}")
         if self.source == self.target and self.type != BeVerbType.BE1:
@@ -76,10 +79,6 @@ class BeLog:
 
     def edges_into(self, type_: BeVerbType, target: str) -> tuple[BeRelation, ...]:
         return self.by_type_target.get((type_, target), ())
-
-
-def belog(relations: Iterable[BeRelation]) -> BeLog:
-    return BeLog(tuple(relations))
 
 
 def characteristics(b: BeLog, owner: str) -> frozenset[str]:

@@ -123,14 +123,6 @@ class BoolMatrix:
             out.rows[j] |= 1 << i
         return out
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BoolMatrix)
-            and self.row_ids == other.row_ids
-            and self.col_ids == other.col_ids
-            and self.rows == other.rows
-        )
-
     def dump(self, name: str) -> str:
         """Debug dump: header line plus one 0/1 string per row."""
         lines = [f"M {name} {len(self.row_ids)}x{len(self.col_ids)}"]

@@ -110,6 +110,17 @@ def _config(args) -> SearchConfig:
         raise _UsageError(exc) from exc
 
 
+def _library(names: list[str]) -> list[SLog]:
+    """The scenario library: each name must resolve to an s-log."""
+    library = []
+    for name in names:
+        s = resolve_log(name)
+        if not isinstance(s, SLog):
+            raise CognilogError(f"{name} is not an s-log")
+        library.append(s)
+    return library
+
+
 def _emit(rows: list[tuple[str, ...]], header: tuple[str, ...], fmt: str) -> None:
     if fmt == "tsv":
         print("\t".join(header))
@@ -198,14 +209,7 @@ def _run(args) -> int:
     if args.command in ("comprehend", "classify"):
         e = resolve_log(args.elog)
         b = resolve_belog(args.belog)
-        library = []
-        for name in args.slogs:
-            s = resolve_log(name)
-            if not isinstance(s, SLog):
-                print(f"{name} is not an s-log", file=sys.stderr)
-                return 1
-            library.append(s)
-        tree = comprehend(e, library, b, _config(args))
+        tree = comprehend(e, _library(args.slogs), b, _config(args))
         if args.command == "comprehend":
             rows = []
             for node in tree.nodes():
@@ -227,8 +231,7 @@ def _run(args) -> int:
     if args.command == "plan":
         world = resolve_log(args.world)
         b = resolve_belog(args.belog)
-        library = [resolve_log(name) for name in args.slogs]
-        plans = plan(args.goal, library, world, b, _config(args))
+        plans = plan(args.goal, _library(args.slogs), world, b, _config(args))
         rows = []
         for i, p in enumerate(plans):
             rows.append((f"plan={i}", "+".join(p.slog_chain),

@@ -11,6 +11,7 @@ the reserved sentinel objects ``nothing``/``unknown`` (actions) and ``nobody``
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -33,6 +34,14 @@ SENTINEL_NOBODY = "nobody"
 
 SENTINEL_ACTIONS = frozenset({SENTINEL_NOTHING, SENTINEL_UNKNOWN})
 SENTINELS = frozenset({SENTINEL_NOTHING, SENTINEL_UNKNOWN, SENTINEL_NOBODY})
+
+# Ids are written as bare tokens of the text format, so one must be
+# non-empty and hold no whitespace and no double quote.
+_ID_RE = re.compile(r'[^\s"]+')
+
+
+def _writable_id(s: str) -> bool:
+    return _ID_RE.fullmatch(s) is not None
 
 
 class Kind(Enum):
@@ -303,15 +312,17 @@ def build_elog(
 
     Missing cause targets default to ``unknown``; sentinels are always
     inserted, so a record that reuses a sentinel id is a duplicate.  Raises
-    on duplicate or unwritable ids (empty, whitespace, a double quote),
-    dangling references, and non-sentinel cause cycles (after collapsing
-    trivial pairs).
+    on duplicate ids, an unwritable log or object id (empty, whitespace, a
+    double quote), dangling references, and non-sentinel cause cycles (after
+    collapsing trivial pairs).
     """
+    if not _writable_id(log_id):
+        raise DanglingReferenceError(f"invalid log id {log_id!r}")
     seen = set(SENTINELS)
     for obj in list(records) + list(participants):
         if obj.id in seen:
             raise DuplicateIdError(f"duplicate id {obj.id!r}")
-        if not obj.id or '"' in obj.id or any(c.isspace() for c in obj.id):
+        if not _writable_id(obj.id):
             raise DanglingReferenceError(f"invalid id {obj.id!r}")
         seen.add(obj.id)
 

@@ -524,10 +524,6 @@ def _initial_actions(s: SLog) -> list[Action]:
     return [a for a in s.nonsentinel_actions if a.id not in effects]
 
 
-def _matches_goal(b: BeLog, action: Action, goal: str) -> bool:
-    return action.id == goal or is_member(b, action.id, goal) and action.id != goal
-
-
 def _chain_slogs(chain: list[SLog], links: list[tuple[str, str]]) -> SLog:
     """Concatenate scenarios: ``links[i]`` names the terminal action of
     ``chain[i]`` and the initial action of ``chain[i + 1]`` that admitted
@@ -591,7 +587,7 @@ def plan(
     ending = [
         s
         for s in library
-        if any(_matches_goal(b, a, goal_action_class) for a in _terminal_actions(s))
+        if any(is_member(b, a.id, goal_action_class) for a in _terminal_actions(s))
     ]
     if not ending:
         raise NoPlanFoundError(

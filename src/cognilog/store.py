@@ -12,9 +12,10 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .belog import BeLog, BeRelation, BeVerbType
-from .errors import ParseError
+from .errors import CognilogError, ParseError
 from .model import (
     Action,
     ELog,
@@ -41,27 +42,30 @@ _UNESCAPES = {v: k for k, v in _ESCAPES.items()}
 _ESCAPE_RE = re.compile("|".join(re.escape(v) for v in _UNESCAPES))
 
 
+# One field: bare characters and complete quoted strings, up to whitespace.
+# The last group holds a quote that never closes.
+_FIELD_RE = re.compile(r'(?=\S)(?:[^\s"]+|"(?:[^"\\]|\\.)*")*("?)', re.S)
+
+
 def _split_fields(line: str, lineno: int) -> list[tuple[str, int]]:
     """Whitespace-split that keeps quoted label values intact; returns
     (token, column) pairs, columns 1-based.  A backslash inside a quote
     escapes the next character."""
     out: list[tuple[str, int]] = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < n and not line[i].isspace():
-            if line[i] == '"':
-                i += 1
-                while i < n and line[i] != '"':
-                    i += 2 if line[i] == "\\" else 1
-                if i >= n:
-                    raise ParseError("unterminated quote", lineno, start + 1)
-            i += 1
-        out.append((line[start:i], start + 1))
+    for m in _FIELD_RE.finditer(line):
+        if m.group(1):
+            raise ParseError("unterminated quote", lineno, m.start() + 1)
+        out.append((m.group(), m.start() + 1))
     return out
+
+
+def _records(lines: list[str]) -> Iterator[tuple[int, list[tuple[str, int]]]]:
+    """(line number, fields) of each line that is neither blank nor a ``#``
+    line; a log's header is a ``#`` line too."""
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.lstrip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, _split_fields(line, lineno)
 
 
 def _parse_kv(token: str, lineno: int, column: int) -> tuple[str, str]:
@@ -103,68 +107,54 @@ def _parse_int(value: str, key: str, lineno: int, column: int) -> int:
 def parse_log(text: str) -> ELog:
     """Parse one e-log or s-log from canonical text."""
     lines = text.splitlines()
-    header = None
-    lineno_header = 0
-    for lineno, line in enumerate(lines, 1):
-        if line.strip():
-            header = line.strip()
-            lineno_header = lineno
-            break
-    if header is None:
+    start = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if start is None:
         raise ParseError("empty file", 1, 1)
-    parts = header.split()
+    parts = lines[start].split()
     if len(parts) != 2 or parts[0] not in ("#ELOG", "#SLOG"):
-        raise ParseError("expected '#ELOG <id>' or '#SLOG <id>'", lineno_header, 1)
+        raise ParseError("expected '#ELOG <id>' or '#SLOG <id>'", start + 1, 1)
     slog = parts[0] == "#SLOG"
-    log_id = parts[1]
 
     participants: list[Participant] = []
     actions: list[Action] = []
-    for lineno, line in enumerate(lines, 1):
-        if lineno <= lineno_header or not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = _split_fields(line, lineno)
+    for lineno, fields in _records(lines):
         tag, tag_col = fields[0]
+        if tag not in ("P", "A"):
+            raise ParseError(f"unknown line tag {tag!r}", lineno, tag_col)
+        if len(fields) < 2:
+            raise ParseError(f"{tag} line needs an id", lineno, tag_col)
+        oid = fields[1][0]
+        kv, cols = _read_keys(fields[2:], _P_KEYS if tag == "P" else _A_KEYS, lineno)
         if tag == "P":
-            if len(fields) < 2:
-                raise ParseError("P line needs an id", lineno, tag_col)
-            pid = fields[1][0]
-            kv, cols = _read_keys(fields[2:], _P_KEYS, lineno)
             kind = Kind.CLASS if slog else Kind.PLAIN
             if "kind" in kv:
                 try:
                     kind = Kind(kv["kind"])
                 except ValueError:
                     raise ParseError(f"unknown kind {kv['kind']!r}", lineno, cols["kind"])
-            participants.append(Participant(id=pid, label=kv.get("label", ""), kind=kind))
-        elif tag == "A":
-            if len(fields) < 2:
-                raise ParseError("A line needs an id", lineno, tag_col)
-            aid = fields[1][0]
-            kv, cols = _read_keys(fields[2:], _A_KEYS, lineno)
-            if "who" not in kv:
-                raise ParseError("A line needs who=", lineno, tag_col)
-            ts = _parse_int(kv["ts"], "ts", lineno, cols["ts"]) if "ts" in kv else None
-            te = _parse_int(kv["te"], "te", lineno, cols["te"]) if "te" in kv else None
-            try:
-                raw = RawData(t_start=ts, t_end=te)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, tag_col)
-            actions.append(
-                Action(
-                    id=aid,
-                    who=kv["who"],
-                    cause_s=kv.get("cs", "unknown"),
-                    cause_n=kv.get("cn", "unknown"),
-                    trivial_partner=kv.get("triv"),
-                    volition=kv.get("vol") == "true",
-                    label=kv.get("label", ""),
-                    raw=raw,
-                )
+            participants.append(Participant(id=oid, label=kv.get("label", ""), kind=kind))
+            continue
+        if "who" not in kv:
+            raise ParseError("A line needs who=", lineno, tag_col)
+        ts = _parse_int(kv["ts"], "ts", lineno, cols["ts"]) if "ts" in kv else None
+        te = _parse_int(kv["te"], "te", lineno, cols["te"]) if "te" in kv else None
+        try:
+            raw = RawData(t_start=ts, t_end=te)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, tag_col)
+        actions.append(
+            Action(
+                id=oid,
+                who=kv["who"],
+                cause_s=kv.get("cs", "unknown"),
+                cause_n=kv.get("cn", "unknown"),
+                trivial_partner=kv.get("triv"),
+                volition=kv.get("vol") == "true",
+                label=kv.get("label", ""),
+                raw=raw,
             )
-        else:
-            raise ParseError(f"unknown line tag {tag!r}", lineno, tag_col)
-    return build_elog(log_id, tuple(actions), tuple(participants), slog=slog)
+        )
+    return build_elog(parts[1], tuple(actions), tuple(participants), slog=slog)
 
 
 def _quote(label: str) -> str:
@@ -200,14 +190,8 @@ def format_log(log: ELog) -> str:
 
 
 def parse_belog(text: str) -> BeLog:
-    lines = text.splitlines()
     relations: list[BeRelation] = []
-    n = 0
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = _split_fields(line, lineno)
+    for lineno, fields in _records(text.splitlines()):
         tag, tag_col = fields[0]
         if tag != "B":
             raise ParseError(f"unknown line tag {tag!r}", lineno, tag_col)
@@ -224,12 +208,11 @@ def parse_belog(text: str) -> BeLog:
             weight = float(kv.get("w", 1.0))
         except ValueError:
             raise ParseError(f"w must be a real, got {kv['w']!r}", lineno, cols["w"])
-        n += 1
         try:
             relations.append(
                 BeRelation(
-                    id=f"b{n}", type=type_, source=source, target=target,
-                    weight=weight, label=kv.get("label", ""),
+                    id=f"b{len(relations) + 1}", type=type_, source=source,
+                    target=target, weight=weight, label=kv.get("label", ""),
                 )
             )
         except ValueError as exc:
@@ -295,13 +278,21 @@ def load(path: str | os.PathLike) -> Store:
 
 
 def save(store: Store, path: str | os.PathLike | None = None) -> None:
+    """Write every log and be-log as a file directly inside the root; a name
+    that would leave it is refused before anything is written."""
     root = Path(path) if path is not None else store.root
-    root.mkdir(parents=True, exist_ok=True)
+    files: dict[str, str] = {}
     for log in store.logs.values():
         suffix = ".slog" if isinstance(log, SLog) else ".elog"
-        (root / f"{log.id}{suffix}").write_text(format_log(log), encoding="utf-8")
+        files[f"{log.id}{suffix}"] = format_log(log)
     for name, b in store.belogs.items():
-        (root / f"{name}.belog").write_text(format_belog(b), encoding="utf-8")
+        files[f"{name}.belog"] = format_belog(b)
+    for name in files:
+        if Path(name).name != name or "\0" in name:
+            raise CognilogError(f"cannot save {name!r}: not a single file name")
+    root.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
 
 
 def _resolve(name: str, suffixes: tuple[str, ...], parse):

@@ -131,3 +131,12 @@ def test_weight_range_enforced():
         BeRelation(id="r", type=BeVerbType.SIMILAR, source="a", target="c", weight=0.0)
     with pytest.raises(ValueError):
         BeRelation(id="r", type=BeVerbType.BE3, source="a", target="a")
+
+
+@pytest.mark.parametrize("bad", ["", "a b", "a\tb", 'a"b', "a\u2028b"])
+def test_relation_endpoints_are_writable_ids(bad):
+    # the text format writes source and target as bare tokens
+    with pytest.raises(ValueError, match="invalid id"):
+        BeRelation(id="r", type=BeVerbType.SIMILAR, source=bad, target="c")
+    with pytest.raises(ValueError, match="invalid id"):
+        BeRelation(id="r", type=BeVerbType.SIMILAR, source="a", target=bad)

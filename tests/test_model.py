@@ -83,12 +83,15 @@ def test_validate_reports_each_duplicate_id_once():
     ]
 
 
-@pytest.mark.parametrize("bad", ["", "a b", "a\tb", 'a"b', '"'])
+@pytest.mark.parametrize("bad", ["", "a b", "a\tb", 'a"b', '"', "a\u2028b"])
 def test_malformed_id_rejected(bad):
     with pytest.raises(DanglingReferenceError):
         build_elog("x", (Action(id=bad, who="p"),), _p("p"))
     with pytest.raises(DanglingReferenceError):
         build_elog("x", (), _p(bad))
+    # the log id is written into the header, so the same rule holds for it
+    with pytest.raises(DanglingReferenceError, match="invalid log id"):
+        build_elog(bad, ())
 
 
 def test_dangling_who_rejected():

@@ -2,14 +2,16 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cognilog.belog import BeLog, BeRelation, BeVerbType, similarity_by_characteristics
 from cognilog.boolmat import BoolMatrix, causal_closure, causal_closure_with_stats
-from cognilog.errors import NotTriangularError
+from cognilog.errors import NotTriangularError, ParseError
 from cognilog.model import SENTINELS, Action, Kind, Participant, RawData, build_elog
-from cognilog.store import format_belog, format_log, parse_belog, parse_log
+from cognilog.store import _split_fields, format_belog, format_log, parse_belog, parse_log
+
+from store_reference import split_fields
 
 TOKENS = ["t0", "t1", "t2", "t3", "t4"]
 
@@ -152,3 +154,28 @@ def test_belog_text_round_trips_any_label(rows):
     text = format_belog(b)
     assert parse_belog(text) == b
     assert format_belog(parse_belog(text)) == text
+
+
+# Lines for the field scanner: letters, '=', quotes, backslashes, and ASCII
+# and Unicode whitespace (line breaks included, though no split line has one).
+SCANNER_LINES = st.text(
+    st.one_of(
+        st.sampled_from('"\\'),
+        st.sampled_from("ab="),
+        st.sampled_from(" \t\n\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u3000"),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=500)
+@given(SCANNER_LINES)
+@example('a="\\\n" b')
+def test_field_pattern_equals_character_scanner(line):
+    def outcome(split):
+        try:
+            return split(line, 7)
+        except ParseError as exc:
+            return exc.message, exc.line, exc.column
+
+    assert outcome(_split_fields) == outcome(split_fields)

@@ -1,11 +1,16 @@
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cognilog.belog import BeLog, BeVerbType
 from cognilog.cli import main
-from cognilog.errors import ParseError
+from cognilog.errors import CognilogError, ParseError
 from cognilog.model import SLog
 from cognilog.store import (
     Store,
@@ -60,6 +65,39 @@ def test_parse_error_repeated_key_on_every_line_kind():
         assert err.value.message == f"duplicate key {key!r}"
 
 
+# Every error the reader raises, with its (line, column, message).
+PARSE_ERRORS = [
+    (parse_log, '#ELOG x\nP p label="open\n', 2, 5, "unterminated quote"),
+    (parse_log, '#ELOG x\n\tP p label="a\\"\n', 2, 6, "unterminated quote"),
+    (parse_log, "#ELOG x\nA a who=p bare\n", 2, 11, "expected key=value, got 'bare'"),
+    (parse_log, "#ELOG x\nP p\nA a who=p ts=soon\n", 3, 11,
+     "ts must be an integer, got 'soon'"),
+    (parse_log, "#ELOG x\nP\n", 2, 1, "P line needs an id"),
+    (parse_log, "#ELOG x\nA\n", 2, 1, "A line needs an id"),
+    (parse_log, "#ELOG x\nP p kind=odd\n", 2, 5, "unknown kind 'odd'"),
+    (parse_log, "#ELOG x\nA a\n", 2, 1, "A line needs who="),
+    (parse_log, "#ELOG x\nP p\nA a who=p ts=5 te=2\n", 3, 1, "t_start 5 exceeds t_end 2"),
+    (parse_log, "#ELOG x\nP p\nQ q\n", 3, 1, "unknown line tag 'Q'"),
+    (parse_log, "\n#ELOG x\n# note\n\n  Q q\n", 5, 3, "unknown line tag 'Q'"),
+    (parse_belog, "# note\n\nX a b\n", 3, 1, "unknown line tag 'X'"),
+    (parse_belog, "B Similar a\n", 1, 1, "B line needs type, source, target"),
+    (parse_belog, "B Similar a b w=heavy\n", 1, 15, "w must be a real, got 'heavy'"),
+    (parse_belog, "B Similar a b w=2\n", 1, 1, "weight must be in (0, 1], got 2.0"),
+    (parse_belog, "B Similar a b\n# c\nB Similar c c\n", 3, 1,
+     "Similar relation 'b2' may not be reflexive"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, column, message", PARSE_ERRORS,
+    ids=[f"case{i}" for i in range(len(PARSE_ERRORS))],
+)
+def test_parse_error_table(parse, text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 def test_parse_error_names_a_bad_key_before_a_bad_value():
     with pytest.raises(ParseError) as err:
         parse_log("#ELOG x\nP p kind=odd foo=1\n")
@@ -112,6 +150,29 @@ def test_store_load_save_identity(tmp_path):
     save(store, tmp_path)
     for src in ALL_FIXTURES:
         assert (tmp_path / src.name).read_bytes() == src.read_bytes()
+
+
+def test_belog_endpoint_with_a_quote_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_belog('B Similar a b\n  B Similar a"x y"b c\n')
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert err.value.message == "invalid id 'a\"x y\"b' in relation 'b2'"
+
+
+def test_save_writes_only_inside_its_root(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "x.elog").write_text("#ELOG ../escaped\n")
+    store = load(src)
+    with pytest.raises(CognilogError, match="not a single file name"):
+        save(store, tmp_path / "out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+    del store.logs["../escaped"]
+    for name in ("a/b", "a\0b"):
+        store.belogs = {"first": BeLog(), name: BeLog()}
+        with pytest.raises(CognilogError, match="not a single file name"):
+            save(store, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def test_store_empty_dir(tmp_path):
@@ -270,6 +331,62 @@ def test_cli_dump_matrices(capsys):
     assert out.startswith("M S 4x4")
 
 
+# abstract on robot/worker: (score line, images of carried, carried_load,
+# was_carried0, was_carried1, images of bottle, dolly, robot) per candidate
+ROBOT_CANDIDATES = [
+    ("0.9643  structural=1.0000  temporal=1.0000  similarity=0.8571",
+     "carries carries carries is_carried", "cargo worker worker"),
+    ("0.9643  structural=1.0000  temporal=1.0000  similarity=0.8571",
+     "carries is_carried is_carried is_carried", "cargo cargo worker"),
+    ("0.8095  structural=1.0000  temporal=0.6667  similarity=0.5714",
+     "carries is_carried is_carried carries", "worker cargo worker"),
+    ("0.8095  structural=1.0000  temporal=0.6667  similarity=0.5714",
+     "is_carried carries carries is_carried", "cargo worker cargo"),
+    ("0.6964  structural=1.0000  temporal=0.5000  similarity=0.2857",
+     "is_carried carries carries carries", "worker worker cargo"),
+    ("0.6964  structural=1.0000  temporal=0.5000  similarity=0.2857",
+     "is_carried is_carried is_carried carries", "worker cargo cargo"),
+]
+ROBOT_ABSTRACT = "".join(
+    f"candidate={i}      residue=\nscore  {score}\n"
+    + "".join(f"action  {x}  {y}  \n" for x, y in zip(
+        ("carried", "carried_load", "was_carried0", "was_carried1"), actions.split()))
+    + "".join(f"participant  {x}  {y}  \n" for x, y in zip(
+        ("bottle", "dolly", "robot"), participants.split()))
+    for i, (score, actions, participants) in enumerate(ROBOT_CANDIDATES)
+)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["abstract", "robot.elog", "worker.slog"], ROBOT_ABSTRACT),
+    (["comprehend", "robot.elog", "worker.slog"],
+     "TREE  0  n0.0  worker  -  "
+     "bottle,carried,carried_load,dolly,robot,was_carried0,was_carried1\n"),
+    (["classify", "robot.elog", "worker.slog"], ""),
+    (["plan", "is_carried", "robot.elog", "worker.slog"],
+     "plan=0  worker  cargo->bottle,worker->dolly\n"
+     "plan=1  worker  cargo->bottle,worker->robot\n"
+     "plan=2  worker  cargo->dolly,worker->robot\n"),
+], ids=["abstract", "comprehend", "classify", "plan"])
+def test_cli_reasoning_commands_on_robot_worker(argv, out, capsys):
+    command, *names = argv
+    logs = [name if "." not in name else _fx(name) for name in names]
+    code = main([command, *logs, "--belog", _fx("robot.belog")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, out, "")
+
+
+@pytest.mark.parametrize("command", ["comprehend", "classify", "plan"])
+def test_cli_library_must_hold_slogs(command, capsys):
+    logs = [_fx("robot.elog"), _fx("worker.slog"), _fx("robot.elog")]
+    if command == "plan":
+        logs.insert(0, "was_carried1")
+    assert main([command, *logs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_fx('robot.elog')} is not an s-log\n"
+
+
 def test_cli_plan_no_goal(capsys):
     code = main(["plan", "nonexistent_goal", _fx("robot.elog"),
                  _fx("worker.slog")])
@@ -293,3 +410,74 @@ def test_bare_ids_resolve_through_the_store(monkeypatch):
 
 def test_cli_missing_file(capsys):
     assert main(["validate", "no_such_file.elog"]) == 1
+
+
+# -- CLI on mutated input ----------------------------------------------------
+
+FUZZ_FILES = ("robot.elog", "worker.slog", "robot.belog")
+FUZZ_TOKENS = (
+    '"', "\\", '""', 'label="a b"', "ts=-1", "te=-1", "kind=sentinel", "kind=class",
+    "w=0", "w=0.5", "vol", "nothing", "unknown", "nobody", "who=nobody", "cs=carried",
+    "cn=ghost", "triv=carried", "A", "P", "B", "Be3", "#SLOG",
+)
+FUZZ_COMMANDS = (
+    "validate", "dump-matrices", "match", "infer", "abstract", "gen-slog",
+    "comprehend", "classify", "plan",
+)
+FUZZ_FLAGS = (
+    [], ["--depth", "0"], ["--depth", "2"], ["--max-candidates", "1"],
+    ["--min-compat", "0.9"], ["--weights", "1,0,0"], ["--weights", "x"],
+)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """One robot/worker fixture with lines dropped or duplicated and tokens
+    replaced or inserted."""
+    name = draw(st.sampled_from(FUZZ_FILES))
+    lines = (FIXTURES / name).read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "duplicate", "replace", "insert")))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split(" ")
+            j = draw(st.integers(0, len(tokens) - (op == "replace")))
+            tokens[j:j + (op == "replace")] = [draw(st.sampled_from(FUZZ_TOKENS))]
+            lines[i] = " ".join(tokens)
+    return name, "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutated_fixtures(), st.sampled_from(FUZZ_COMMANDS), st.sampled_from(FUZZ_FLAGS))
+def test_cli_ends_every_mutated_input_with_a_typed_outcome(fixture, command, flags):
+    name, text = fixture
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {n: _fx(n) for n in FUZZ_FILES} | {name: os.path.join(tmp, name)}
+        Path(path[name]).write_text(text, encoding="utf-8")
+        e, s, b = (path[n] for n in FUZZ_FILES)
+        if command in ("validate", "dump-matrices"):
+            argv = [command, path[name]]
+        elif command == "gen-slog":
+            argv = [command, e, "carried", "--belog", b]
+        else:
+            argv = [command, *(["is_carried"] if command == "plan" else []),
+                    e, s, "--belog", b, *flags]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    message = err.getvalue()
+    if code == 0:
+        assert message == ""
+    elif code == 2:
+        assert message.startswith("usage error: ") and message.count("\n") == 1
+    elif command not in ("validate", "match", "abstract"):
+        # match and abstract exit 1 on no result, and validate prints its
+        # violations on stdout; every other failure is one line on stderr
+        assert message.count("\n") == 1
