@@ -399,7 +399,8 @@ def conversion_pair(
     action_map: dict[str, str],
     participant_map: dict[str, str],
 ) -> ConversionPair:
-    """Build P_S/P_E from object maps; sentinel images are forced."""
+    """Build P_S/P_E from object maps; sentinel images are forced.  Raises
+    ``UnknownObjectError`` naming an id that either log lacks."""
     P_S = BoolMatrix.zeros(s.action_ids, e.action_ids)
     P_E = BoolMatrix.zeros(s.participant_ids, e.participant_ids)
     full_amap = dict(action_map)
@@ -407,10 +408,12 @@ def conversion_pair(
         full_amap.setdefault(sid, sid)
     full_pmap = dict(participant_map)
     full_pmap.setdefault(SENTINEL_NOBODY, SENTINEL_NOBODY)
-    for src, dst in full_amap.items():
-        P_S.set_ids(dst, src)
-    for src, dst in full_pmap.items():
-        P_E.set_ids(dst, src)
+    for m, mapping in ((P_S, full_amap), (P_E, full_pmap)):
+        for src, dst in mapping.items():
+            for oid, ids in ((src, m.col_ids), (dst, m.row_ids)):
+                if oid not in ids:
+                    raise UnknownObjectError(f"unknown object {oid!r}")
+            m.set_ids(dst, src)
     return ConversionPair(P_S, P_E)
 
 

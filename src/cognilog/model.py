@@ -95,15 +95,12 @@ class Action:
         return self.raw.t_end
 
 
-def _sentinel_actions() -> tuple[Action, ...]:
-    return tuple(
-        Action(id=sid, who=SENTINEL_NOBODY, cause_s=sid, cause_n=sid)
-        for sid in sorted(SENTINEL_ACTIONS)
-    )
-
-
-def _sentinel_participant() -> Participant:
-    return Participant(id=SENTINEL_NOBODY, kind=Kind.SENTINEL)
+# the sentinel objects every log ends with, shared by all logs
+_SENTINEL_TAIL = tuple(
+    Action(id=sid, who=SENTINEL_NOBODY, cause_s=sid, cause_n=sid)
+    for sid in sorted(SENTINEL_ACTIONS)
+)
+_NOBODY_TAIL = (Participant(id=SENTINEL_NOBODY, kind=Kind.SENTINEL),)
 
 
 @dataclass(frozen=True)
@@ -174,10 +171,8 @@ def _canonicalize(
     """Sort objects by id, insert sentinels, and freeze into a log value."""
     amap = {a.id: a for a in actions if a.id not in SENTINEL_ACTIONS}
     pmap = {p.id: p for p in participants if p.id != SENTINEL_NOBODY}
-    all_actions = tuple(sorted(amap.values(), key=lambda a: a.id)) + _sentinel_actions()
-    all_parts = tuple(sorted(pmap.values(), key=lambda p: p.id)) + (
-        _sentinel_participant(),
-    )
+    all_actions = tuple(sorted(amap.values(), key=lambda a: a.id)) + _SENTINEL_TAIL
+    all_parts = tuple(sorted(pmap.values(), key=lambda p: p.id)) + _NOBODY_TAIL
     cls = SLog if slog else ELog
     return cls(id=log_id, actions=all_actions, participants=all_parts)
 

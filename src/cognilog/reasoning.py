@@ -502,43 +502,39 @@ class Plan:
     assignment: dict[str, str]  # class participant -> world participant
 
 
-def _cause_pairs(s: SLog) -> set[tuple[str, str]]:
-    """(cause, effect) pairs of the non-sentinel cause arrows, both kinds."""
-    return {
-        (c, e)
-        for a in s.nonsentinel_actions
-        for c, e in ((a.cause_s, a.id), (a.id, a.cause_n))
-        if c != e and c not in SENTINEL_ACTIONS and e not in SENTINEL_ACTIONS
-    }
-
-
-def _terminal_actions(s: SLog) -> list[Action]:
-    """Actions with no non-sentinel effect along either arrow kind."""
-    causes = {c for c, _ in _cause_pairs(s)}
-    return [a for a in s.nonsentinel_actions if a.id not in causes]
-
-
-def _initial_actions(s: SLog) -> list[Action]:
-    """Actions with no non-sentinel cause along either arrow kind."""
-    effects = {e for _, e in _cause_pairs(s)}
-    return [a for a in s.nonsentinel_actions if a.id not in effects]
+def _scenario_ends(s: SLog) -> tuple[list[Action], list[Action]]:
+    """(terminal, initial) actions: those with no non-sentinel effect, and
+    those with no non-sentinel cause, along either arrow kind."""
+    causes: set[str] = set()
+    effects: set[str] = set()
+    for a in s.nonsentinel_actions:
+        for c, e in ((a.cause_s, a.id), (a.id, a.cause_n)):
+            if c != e and c not in SENTINEL_ACTIONS and e not in SENTINEL_ACTIONS:
+                causes.add(c)
+                effects.add(e)
+    return (
+        [a for a in s.nonsentinel_actions if a.id not in causes],
+        [a for a in s.nonsentinel_actions if a.id not in effects],
+    )
 
 
 def _chain_slogs(chain: list[SLog], links: list[tuple[str, str]]) -> SLog:
     """Concatenate scenarios: ``links[i]`` names the terminal action of
     ``chain[i]`` and the initial action of ``chain[i + 1]`` that admitted
     the link; the pair is wired both ways (cause-N forward, cause-S back)
-    and no other arrow changes.  Action ids are suffixed by position on
-    clash."""
+    and no other arrow changes.  An action id that clashes becomes
+    ``<id>.<position>``, extended like ``_fresh_id`` when that is taken."""
     # classes with equal ids are the same class and merge; only action ids
-    # are renamed on clash
+    # are renamed on clash, away from every id taken and every own id
     taken: set[str] = set()
     renames: list[dict[str, str]] = []
     for idx, s in enumerate(chain):
-        rename = {
-            a.id: a.id if a.id not in taken else f"{a.id}.{idx}"
-            for a in s.nonsentinel_actions
-        }
+        blocked = taken | {a.id for a in s.nonsentinel_actions}
+        rename: dict[str, str] = {}
+        for a in s.nonsentinel_actions:
+            nid = a.id if a.id not in taken else _fresh_id(f"{a.id}.{idx}", blocked)
+            rename[a.id] = nid
+            blocked.add(nid)
         taken.update(rename.values())
         renames.append(rename)
     cause_s: dict[str, str] = {}
@@ -584,10 +580,11 @@ def plan(
 ) -> list[Plan]:
     """Assemble scenario chains ending in the goal and ground them in the
     world (inverse of comprehension)."""
+    scenarios = [(s, *_scenario_ends(s)) for s in library]
     ending = [
-        s
-        for s in library
-        if any(is_member(b, a.id, goal_action_class) for a in _terminal_actions(s))
+        (s, terminals, initials)
+        for s, terminals, initials in scenarios
+        if any(is_member(b, a.id, goal_action_class) for a in terminals)
     ]
     if not ending:
         raise NoPlanFoundError(
@@ -597,28 +594,29 @@ def plan(
     # each chain with the (terminal, initial) pair that admitted each link
     chains: list[tuple[list[SLog], list[tuple[str, str]]]] = []
 
-    def extend_back(chain: list[SLog], links: list[tuple[str, str]]) -> None:
+    def extend_back(
+        chain: list[SLog], links: list[tuple[str, str]], head_initials: list[Action]
+    ) -> None:
         chains.append((chain, links))
         if len(chain) >= cfg.composition_depth:
             return
-        initials = _initial_actions(chain[0])
-        for s in library:
+        for s, terminals, s_initials in scenarios:
             if s.id in {c.id for c in chain}:
                 continue
             link = next(
                 (
                     (term.id, ini.id)
-                    for term in _terminal_actions(s)
-                    for ini in initials
+                    for term in terminals
+                    for ini in head_initials
                     if term.id == ini.id or mapping_compatibility(b, term.id, ini.id) > 0
                 ),
                 None,
             )
             if link is not None:
-                extend_back([s] + chain, [link] + links)
+                extend_back([s] + chain, [link] + links, s_initials)
 
-    for s in sorted(ending, key=lambda s: s.id):
-        extend_back([s], [])
+    for s, _, initials in sorted(ending, key=lambda sc: sc[0].id):
+        extend_back([s], [], initials)
 
     world_parts = sorted(p.id for p in world.nonsentinel_participants)
     plans: list[Plan] = []

@@ -121,10 +121,6 @@ def score_functor(
     return Score(structural, temporal, similarity, total, report)
 
 
-def _who_of(log: ELog) -> dict[str, str]:
-    return {a.id: a.who for a in log.actions}
-
-
 def _admissible(
     functor_checks: CompletenessReport, cfg: SearchConfig
 ) -> bool:
@@ -144,28 +140,19 @@ def _forced_pmap(
     e: ELog, s: ELog, action_map: dict[str, str]
 ) -> Optional[dict[str, str]]:
     """Participant map forced through who; None when inconsistent."""
-    who_e, who_s = _who_of(e), _who_of(s)
-    e_parts = set(e.participant_by_id)
-    s_parts = set(s.participant_by_id)
     pmap: dict[str, str] = {}
     for x, y in action_map.items():
-        p, q = who_e[x], who_s[y]
+        p, q = e.action_by_id[x].who, s.action_by_id[y].who
         if p == SENTINEL_NOBODY and q == SENTINEL_NOBODY:
             continue
         if p == SENTINEL_NOBODY or q == SENTINEL_NOBODY:
             return None
-        if p not in e_parts or q not in s_parts:
+        if p not in e.participant_by_id or q not in s.participant_by_id:
             # who targets a nominalized action; constrained via the action map
             continue
         if pmap.setdefault(p, q) != q:
             return None
     return pmap
-
-
-def _leftover_participants(e: ELog, pmap: dict[str, str]) -> list[str]:
-    return sorted(
-        p.id for p in e.nonsentinel_participants if p.id not in pmap
-    )
 
 
 def _participant_completions(
@@ -176,15 +163,16 @@ def _participant_completions(
     targets_filter=None,
 ) -> Iterable[dict[str, str]]:
     """Extend the forced participant map over performers of no action."""
-    leftovers = _leftover_participants(e, base)
+    leftovers = [p.id for p in e.nonsentinel_participants if p.id not in base]
     if not leftovers:
         yield dict(base)
         return
-    s_targets = sorted(p.id for p in s.nonsentinel_participants)
     options: list[list[Optional[str]]] = []
     for p in leftovers:
         opts: list[Optional[str]] = [
-            q for q in s_targets if targets_filter is None or targets_filter(p, q)
+            q.id
+            for q in s.nonsentinel_participants
+            if targets_filter is None or targets_filter(p, q.id)
         ]
         if allow_partial:
             opts.append(None)
@@ -239,10 +227,25 @@ def search_functors(
     e_m, s_m = adjacency(e), adjacency(s)
     e_actions = [a for a in e_m.action_ids if a not in SENTINEL_ACTIONS]
     s_actions = sorted(a.id for a in s.nonsentinel_actions)
-    who_e, who_s = _who_of(e), _who_of(s)
 
     def compat_ok(x: str, y: str) -> bool:
         return mapping_compatibility(b, x, y) >= cfg.min_compatibility
+
+    # candidate images of each e-action, each with the performer pair it
+    # forces (None when it forces none); every test here is fixed for the
+    # pair, so backtracking only tests the partial map
+    images: list[list[tuple[str, Optional[tuple[str, str]]]]] = []
+    for x in e_actions:
+        p, row = e.action_by_id[x].who, []
+        p_is_part = p != SENTINEL_NOBODY and p in e.participant_by_id
+        for y in s_actions:
+            q = s.action_by_id[y].who
+            if (p == SENTINEL_NOBODY) != (q == SENTINEL_NOBODY):
+                continue  # nobody performs only what nobody performs
+            forced = (p, q) if p_is_part and q in s.participant_by_id else None
+            if compat_ok(x, y) and (forced is None or compat_ok(p, q)):
+                row.append((y, forced))
+        images.append(row)
 
     # pruning tables: an e-side causal closure entry must land on an s-side
     # closure entry (or collapse onto an identity)
@@ -289,31 +292,20 @@ def search_functors(
             finalize(amap, pmap)
             return
         x = e_actions[i]
-        p = who_e[x]
-        p_is_part = p in e.participant_by_id and p != SENTINEL_NOBODY
-        for y in s_actions:
-            if not compat_ok(x, y):
+        for y, forced in images[i]:
+            # a pmap entry was only ever set for a pair that passed compat_ok
+            if forced and pmap.get(forced[0], forced[1]) != forced[1]:
                 continue
-            q = who_s[y]
-            if p == SENTINEL_NOBODY or q == SENTINEL_NOBODY:
-                if p != q:
-                    continue
-            elif p_is_part and q in s.participant_by_id:
-                if p in pmap:
-                    if pmap[p] != q:
-                        continue
-                elif not compat_ok(p, q):
-                    continue
             if not consistent_with(x, y, amap):
                 continue
             amap[x] = y
-            added = p_is_part and p not in pmap and q in s.participant_by_id
+            added = forced is not None and forced[0] not in pmap
             if added:
-                pmap[p] = q
+                pmap[forced[0]] = forced[1]
             backtrack(i + 1, amap, pmap)
             del amap[x]
             if added:
-                del pmap[p]
+                del pmap[forced[0]]
         if not cfg.require_injective:
             backtrack(i + 1, amap, pmap)  # leave x unmapped
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .belog import BeLog, BeRelation, BeVerbType
-from .errors import CognilogError, ParseError
+from .errors import CognilogError, DuplicateIdError, ParseError
 from .model import (
     Action,
     ELog,
@@ -257,8 +257,11 @@ class Store:
 
 
 def load(path: str | os.PathLike) -> Store:
+    """Read every log and be-log file directly inside the directory; two
+    log files with the same id raise ``DuplicateIdError`` naming both."""
     root = Path(path)
     store = Store(root=root)
+    file_of: dict[str, str] = {}  # log id -> file name
     for file in sorted(root.iterdir()) if root.is_dir() else []:
         if file.suffix not in _EXTENSIONS:
             continue
@@ -269,6 +272,11 @@ def load(path: str | os.PathLike) -> Store:
                 store.index[file.stem] = ("belog", file.name, file.stat().st_mtime)
             else:
                 log = parse_log(text)
+                first = file_of.setdefault(log.id, file.name)
+                if first != file.name:
+                    raise DuplicateIdError(
+                        f"log id {log.id!r} in both {first} and {file.name}"
+                    )
                 store.logs[log.id] = log
                 kind = "slog" if isinstance(log, SLog) else "elog"
                 store.index[log.id] = (kind, file.name, file.stat().st_mtime)

@@ -192,8 +192,9 @@ def test_evaluate_conversion_rejects_unknown_ids():
         ({"ghost": "carries"}, {}, "ghost"),
         ({}, {"robot": "ghost"}, "ghost"),
     ):
-        with pytest.raises(UnknownObjectError, match=ghost):
-            evaluate_conversion(e_m, s_m, amap, pmap)
+        for convert in (evaluate_conversion, conversion_pair):
+            with pytest.raises(UnknownObjectError, match=ghost):
+                convert(e_m, s_m, amap, pmap)
 
 
 def test_identity_functor_is_complete():

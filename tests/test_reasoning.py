@@ -28,6 +28,7 @@ from cognilog.reasoning import (
     plan,
 )
 from cognilog.search import SearchConfig, search_functors
+from cognilog.store import parse_log
 
 from conftest import load_belog, load_log, random_elog
 
@@ -359,6 +360,35 @@ def test_chain_ranks_keep_growing_past_an_untimed_scenario():
     assembled = _chain_slogs(chain, [("b", "c"), ("c", "d")])
     ranks = {a.id: a.t_start for a in assembled.nonsentinel_actions}
     assert ranks == {"a": 0, "b": 5, "c": None, "d": 6}
+
+
+def test_plan_renames_a_clashing_id_away_from_ids_in_use():
+    s0 = parse_log("#SLOG s0\nP k\nA a who=k cn=a.1\nA a.1 who=k cs=a\n")
+    s1 = parse_log("#SLOG s1\nP k\nA a who=k\nA g who=k cs=a\n")
+    world = build_elog("w", (), (Participant(id="bob"),))
+    b = _rels(("Be3", "bob", "k"), ("Similar", "a.1", "a", 0.5))
+    plans = plan("g", [s0, s1], world, b, SearchConfig())
+    assert [p.slog_chain for p in plans] == [("s1",), ("s0", "s1")]
+    arrows = [
+        (a.id, a.cause_s, a.cause_n)
+        for a in plans[1].assembled_slog.nonsentinel_actions
+    ]
+    assert arrows == [
+        ("a", "unknown", "a.1"),
+        ("a.1", "a", "a.1_1"),
+        ("a.1_1", "a.1", "unknown"),
+        ("g", "a.1_1", "unknown"),
+    ]
+
+
+def test_chain_renames_a_clashing_id_away_from_its_own_scenario():
+    first = parse_log("#SLOG first\nP k\nA a who=k\n")
+    second = parse_log("#SLOG second\nP k\nA a who=k\nA a.1 who=k cs=a\n")
+    assembled = _chain_slogs([first, second], [("a", "a")])
+    assert sorted(assembled.action_by_id) == [
+        "a", "a.1", "a.1_1", "nothing", "unknown",
+    ]
+    assert assembled.action_by_id["a.1"].cause_s == "a.1_1"
 
 
 def test_injective_assignments_are_lazy_and_ordered():

@@ -1,11 +1,12 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
-from cognilog.belog import BeLog
+from cognilog.belog import BeLog, BeRelation, BeVerbType, mapping_compatibility
 from cognilog.errors import SourceTargetMismatchError, TooLargeError
-from cognilog.model import build_elog, Action, Participant
+from cognilog.model import SENTINELS, Action, Kind, Participant, build_elog
 from cognilog.search import (
     Functor,
     SearchConfig,
@@ -92,6 +93,59 @@ def test_search_matches_brute_force_on_fixtures(robot, worker):
     found = {f.map_key() for f, _ in search_functors(robot, worker, EMPTY, EXHAUSTIVE)}
     oracle = {f.map_key() for f in brute_force_functors(robot, worker, EXHAUSTIVE)}
     assert found == oracle
+
+
+def _prefixed_copy(log):
+    """Class-valued copy of a log with every non-sentinel id prefixed."""
+    def ren(oid):
+        return oid if oid in SENTINELS else f"s_{oid}"
+
+    actions = tuple(
+        replace(
+            a, id=ren(a.id), who=ren(a.who), cause_s=ren(a.cause_s),
+            cause_n=ren(a.cause_n),
+            trivial_partner=a.trivial_partner and ren(a.trivial_partner),
+        )
+        for a in log.nonsentinel_actions
+    )
+    parts = tuple(
+        Participant(id=ren(p.id), kind=Kind.CLASS)
+        for p in log.nonsentinel_participants
+    )
+    return build_elog("s", actions, parts, slog=True)
+
+
+def test_compatibility_floor_matches_filtered_brute_force():
+    # the oracle knows no be-log: the search must return exactly its
+    # functors whose every object pair clears the floor
+    rng = random.Random(73)
+    with_results = floored = 0
+    for i in range(200):
+        e = random_elog(rng, max_actions=5, log_id="e")
+        s = _prefixed_copy(e)
+        e_objs = sorted(e.object_ids() - SENTINELS)
+        s_objs = sorted(s.object_ids() - SENTINELS)
+        b = BeLog(tuple(
+            BeRelation(f"r{x}{y}", BeVerbType.SIMILAR, x, y,
+                       rng.choice((0.2, 0.5, 0.8, 1.0)))
+            for x in e_objs for y in s_objs if rng.random() < 0.6
+        ))
+        floor = (0.0, 0.5, 0.8)[i % 3]
+        cfg = SearchConfig(max_candidates=10**6, min_compatibility=floor)
+        found = {f.map_key() for f, _ in search_functors(e, s, b, cfg)}
+        oracle = brute_force_functors(e, s, cfg)
+        kept = {
+            f.map_key()
+            for f in oracle
+            if all(
+                mapping_compatibility(b, x, y) >= floor
+                for x, y in (*f.action_map.items(), *f.participant_map.items())
+            )
+        }
+        assert found == kept, f"pair {i}"
+        with_results += bool(found)
+        floored += len(kept) < len(oracle)
+    assert with_results >= 40 and floored >= 40, (with_results, floored)
 
 
 def test_partial_search_allows_unmapped_objects():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cognilog.belog import BeLog, BeVerbType
 from cognilog.cli import main
-from cognilog.errors import CognilogError, ParseError
+from cognilog.errors import CognilogError, DuplicateIdError, ParseError
 from cognilog.model import SLog
 from cognilog.store import (
     Store,
@@ -173,6 +173,17 @@ def test_save_writes_only_inside_its_root(tmp_path):
         with pytest.raises(CognilogError, match="not a single file name"):
             save(store, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("second", ["b.elog", "a.slog"])
+def test_load_rejects_two_files_with_one_log_id(tmp_path, second):
+    (tmp_path / "a.elog").write_text("#ELOG x\n")
+    header = "#SLOG x\n" if second.endswith(".slog") else "#ELOG x\n"
+    (tmp_path / second).write_text(header)
+    first, later = sorted(["a.elog", second])
+    with pytest.raises(DuplicateIdError) as err:
+        load(tmp_path)
+    assert str(err.value) == f"log id 'x' in both {first} and {later}"
 
 
 def test_store_empty_dir(tmp_path):
@@ -385,6 +396,18 @@ def test_cli_library_must_hold_slogs(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {_fx('robot.elog')} is not an s-log\n"
+
+
+def test_cli_infer_reports_an_ambiguous_preimage(tmp_path, capsys):
+    e = tmp_path / "e3.elog"
+    e.write_text("#ELOG e3\nP p1\nP p2\nA a who=p1\nA b who=p2\n")
+    s = tmp_path / "s3.slog"
+    s.write_text("#SLOG s3\nP k\nA x who=k\nA y who=k cs=x\n")
+    code = main(["infer", str(e), str(s)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", "error: s-log participant 'k' has preimages ['p1', 'p2']\n"
+    )
 
 
 def test_cli_plan_no_goal(capsys):
