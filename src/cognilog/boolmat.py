@@ -21,13 +21,20 @@ compares one performer set per column; both read the per-log index that a
 themselves; the matrix-form rules over them live beside the tests
 (``tests/matrix_reference.py``), as the referee ``evaluate_conversion`` is
 compared against.
+
+``evaluate_conversion`` is two halves split by what the rules read.
+``_check_actions`` reads the action map only: the index map, its domain and
+image masks, and both causal equations.  ``_check_participants`` adds the
+rules that read the participant map: the zero-column rule, the who equation
+and the coverage of both maps.  Functor search runs the first half once per
+action map, and the second once per participant completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DimensionMismatchError, NotTriangularError, UnknownObjectError
 from .model import (
@@ -211,6 +218,13 @@ class ConversionPair:
 
 @dataclass
 class CompletenessReport:
+    """Outcome of every completeness rule for one pair of object maps.
+
+    ``injective`` means totality: every core e-object (action and
+    participant) is mapped.  It does not mean injectivity; a map sending
+    several actions to one reports ``injective=True``.
+    """
+
     is_function: bool = True
     zero_column_rule_ok: bool = True
     surjective: bool = True
@@ -442,41 +456,33 @@ def index_map(
         raise UnknownObjectError(f"unknown object {exc.args[0]!r}") from None
 
 
-def evaluate_conversion(
-    e: CauseMatrices,
-    s: CauseMatrices,
-    action_map: dict[str, str],
-    participant_map: dict[str, str],
-) -> CompletenessReport:
-    """Run every completeness rule for the given object maps.
+class _ActionCheck(NamedTuple):
+    """The rules of a functor that read only its action map, and what the
+    participant rules read of it: the index map ``f`` and its masks."""
 
-    Sentinel images are forced as in ``conversion_pair``.  The maps are
-    dicts, hence functions, so each matrix equation is evaluated on the
-    per-log indices of ``e`` and ``s`` by relabelling: the report equals the
-    one the matrix-form rules assemble from the ``conversion_pair`` matrices.
-    """
+    f: dict[int, int]
+    domain: int
+    image: int
+    causal_eq_S_ok: bool
+    causal_eq_N_ok: bool
+    causal_mismatches: tuple[tuple[str, str], ...]
+
+
+def _check_actions(
+    e: CauseMatrices, s: CauseMatrices, action_map: dict[str, str]
+) -> _ActionCheck:
+    """Both causal equations of the action map.  Neither reads the
+    participant map, so a search decides them once per action map and skips
+    every participant completion of a map that fails one."""
     full_amap = dict(action_map)
     for sid in SENTINEL_ACTIONS:
         full_amap.setdefault(sid, sid)
-    full_pmap = dict(participant_map)
-    full_pmap.setdefault(SENTINEL_NOBODY, SENTINEL_NOBODY)
     f = index_map(full_amap, e.action_index, s.action_index)
-    g = index_map(full_pmap, e.participant_index, s.participant_index)
 
     domain = image = 0
     for u, fu in f.items():
         domain |= 1 << u
         image |= 1 << fu
-    part_domain = hit_parts = 0
-    for p, gp in g.items():
-        part_domain |= 1 << p
-        hit_parts |= 1 << gp
-    e_core_a, e_core_p = e.core_masks
-    s_core_a, s_core_p = s.core_masks
-
-    # zero-column rule: a mapped action needs a mapped participant performer
-    e_who = e.performer
-    zero_ok = all(e_who[u] in g for u in f)
 
     s_ids = s.action_ids
     causal: set[tuple[str, str]] = set()
@@ -490,8 +496,36 @@ def evaluate_conversion(
                 ok = False
                 causal.update((s_ids[i], s_ids[j]) for j in _bits(diff))
         eq_ok.append(ok)
+    return _ActionCheck(f, domain, image, eq_ok[0], eq_ok[1], tuple(sorted(causal)))
+
+
+def _check_participants(
+    e: CauseMatrices,
+    s: CauseMatrices,
+    actions: _ActionCheck,
+    participant_map: dict[str, str],
+) -> CompletenessReport:
+    """The full report: ``actions`` completed by the rules that read the
+    participant map (the zero-column rule, the who equation and the
+    coverage of both maps)."""
+    full_pmap = dict(participant_map)
+    full_pmap.setdefault(SENTINEL_NOBODY, SENTINEL_NOBODY)
+    g = index_map(full_pmap, e.participant_index, s.participant_index)
+    f, image = actions.f, actions.image
+
+    part_domain = hit_parts = 0
+    for p, gp in g.items():
+        part_domain |= 1 << p
+        hit_parts |= 1 << gp
+    e_core_a, e_core_p = e.core_masks
+    s_core_a, s_core_p = s.core_masks
+
+    # zero-column rule: a mapped action needs a mapped participant performer
+    e_who = e.performer
+    zero_ok = all(e_who[u] in g for u in f)
 
     # who equation: per mapped s-action, the performers of its preimages
+    s_ids = s.action_ids
     converted = [0] * len(s_ids)
     for u, fu in f.items():
         gp = g.get(e_who[u])
@@ -508,13 +542,29 @@ def evaluate_conversion(
         is_function=True,  # dict-valued maps send each object to one image
         zero_column_rule_ok=zero_ok,
         surjective=s_core_a & ~image == 0 and s_core_p & ~hit_parts == 0,
-        injective=e_core_a & ~domain == 0 and e_core_p & ~part_domain == 0,
-        causal_eq_S_ok=eq_ok[0],
-        causal_eq_N_ok=eq_ok[1],
+        injective=e_core_a & ~actions.domain == 0 and e_core_p & ~part_domain == 0,
+        causal_eq_S_ok=actions.causal_eq_S_ok,
+        causal_eq_N_ok=actions.causal_eq_N_ok,
         who_eq_ok=not who_mism,
-        causal_mismatches=tuple(sorted(causal)),
+        causal_mismatches=actions.causal_mismatches,
         who_mismatches=tuple(who_mism),
     )
+
+
+def evaluate_conversion(
+    e: CauseMatrices,
+    s: CauseMatrices,
+    action_map: dict[str, str],
+    participant_map: dict[str, str],
+) -> CompletenessReport:
+    """Run every completeness rule for the given object maps.
+
+    Sentinel images are forced as in ``conversion_pair``.  The maps are
+    dicts, hence functions, so each matrix equation is evaluated on the
+    per-log indices of ``e`` and ``s`` by relabelling: the report equals the
+    one the matrix-form rules assemble from the ``conversion_pair`` matrices.
+    """
+    return _check_participants(e, s, _check_actions(e, s, action_map), participant_map)
 
 
 def dump_matrices(log: ELog) -> str:

@@ -18,6 +18,8 @@ from .belog import BeLog, mapping_compatibility
 from .boolmat import (
     BoolMatrix,
     CompletenessReport,
+    _check_actions,
+    _check_participants,
     adjacency,
     causal_closure,
     evaluate_conversion,
@@ -62,6 +64,11 @@ class Score:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings.  ``require_injective`` asks for total maps, every
+    core e-object mapped (``CompletenessReport.injective``), not for
+    injective ones; turned off, objects may stay unmapped (partial
+    functors)."""
+
     weights: tuple[float, float, float] = (0.5, 0.25, 0.25)
     min_compatibility: float = 0.0
     max_candidates: int = 10
@@ -100,6 +107,25 @@ def score_functor(
         report = evaluate_conversion(
             adjacency(e), adjacency(s), functor.action_map, functor.participant_map
         )
+    return _score(functor, e, s, b, cfg, report, *_action_terms(functor, e, s, b))
+
+
+def _action_terms(
+    functor: Functor, e: ELog, s: ELog, b: BeLog
+) -> tuple[float, list[float]]:
+    """The score terms that read only the action map: the temporal fraction
+    and the compatibility of each action pair."""
+    temporal = check_temporal_consistency(e, s, functor).consistency_fraction
+    compat = [mapping_compatibility(b, x, y) for x, y in functor.action_map.items()]
+    return temporal, compat
+
+
+def _score(
+    functor: Functor, e: ELog, s: ELog, b: BeLog, cfg: SearchConfig,
+    report: CompletenessReport, temporal: float, action_compat: list[float],
+) -> Score:
+    """The score from its action terms (``_action_terms``) and the terms
+    that read the participant map too."""
     hard = report.hard_checks()
     n_e = len(e.nonsentinel_actions) + len(e.nonsentinel_participants)
     n_s = len(s.nonsentinel_actions) + len(s.nonsentinel_participants)
@@ -108,14 +134,13 @@ def score_functor(
     coverage = 1.0 if n_e + n_s == 0 else (mapped + hit) / (n_e + n_s)
     structural = (sum(hard) / len(hard)) * coverage
 
-    temporal = check_temporal_consistency(e, s, functor).consistency_fraction
-
-    pairs = list(functor.action_map.items()) + list(functor.participant_map.items())
-    similarity = (
-        1.0
-        if not pairs
-        else sum(mapping_compatibility(b, x, y) for x, y in pairs) / len(pairs)
-    )
+    # one sum over the action pairs, then the participant pairs: sum()
+    # compensates from Python 3.12 on, so a sum continued from the action
+    # pairs' own sum could round differently
+    compat = action_compat + [
+        mapping_compatibility(b, x, y) for x, y in functor.participant_map.items()
+    ]
+    similarity = 1.0 if not compat else sum(compat) / len(compat)
     w1, w2, w3 = cfg.weights
     total = w1 * structural + w2 * temporal + w3 * similarity
     return Score(structural, temporal, similarity, total, report)
@@ -275,17 +300,25 @@ def search_functors(
         return True
 
     def finalize(amap: dict[str, str], pmap: dict[str, str]) -> None:
+        # the causal equations and the action score terms read the action
+        # map only: decide and score them once for all its completions
+        actions = _check_actions(e_m, s_m, amap)
+        if not (actions.causal_eq_S_ok and actions.causal_eq_N_ok):
+            return
+        terms = None
         for full_pmap in _participant_completions(
             e, s, pmap, allow_partial=not cfg.require_injective,
             targets_filter=compat_ok,
         ):
-            report = evaluate_conversion(e_m, s_m, amap, full_pmap)
+            report = _check_participants(e_m, s_m, actions, full_pmap)
             if not _admissible(report, cfg):
                 continue
             functor = Functor(
                 src=e.id, dst=s.id, action_map=dict(amap), participant_map=full_pmap
             )
-            results.append((functor, score_functor(functor, e, s, b, cfg, report)))
+            if terms is None:
+                terms = _action_terms(functor, e, s, b)
+            results.append((functor, _score(functor, e, s, b, cfg, report, *terms)))
 
     def backtrack(i: int, amap: dict[str, str], pmap: dict[str, str]) -> None:
         if i == len(e_actions):

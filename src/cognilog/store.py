@@ -237,8 +237,10 @@ _EXTENSIONS = (".elog", ".slog", ".belog")
 
 @dataclass
 class Store:
-    """Directory of log files with an in-memory index (id -> type, file,
-    mtime).  Be-logs stay per file; ``belog`` is the merged view."""
+    """Directory of log files with an in-memory index (file name -> type,
+    log id or be-log name, mtime): a log and a be-log may share a name, and
+    each file keeps its entry.  Be-logs stay per file; ``belog`` is the
+    merged view."""
 
     root: Path
     logs: dict[str, ELog] = field(default_factory=dict)
@@ -269,7 +271,7 @@ def load(path: str | os.PathLike) -> Store:
         try:
             if file.suffix == ".belog":
                 store.belogs[file.stem] = parse_belog(text)
-                store.index[file.stem] = ("belog", file.name, file.stat().st_mtime)
+                store.index[file.name] = ("belog", file.stem, file.stat().st_mtime)
             else:
                 log = parse_log(text)
                 first = file_of.setdefault(log.id, file.name)
@@ -279,7 +281,7 @@ def load(path: str | os.PathLike) -> Store:
                     )
                 store.logs[log.id] = log
                 kind = "slog" if isinstance(log, SLog) else "elog"
-                store.index[log.id] = (kind, file.name, file.stat().st_mtime)
+                store.index[file.name] = (kind, log.id, file.stat().st_mtime)
         except ParseError as exc:
             raise ParseError(f"{file.name}: {exc.message}", exc.line, exc.column)
     return store

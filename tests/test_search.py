@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 from dataclasses import replace
@@ -5,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from cognilog.belog import BeLog, BeRelation, BeVerbType, mapping_compatibility
+from cognilog.boolmat import adjacency, evaluate_conversion
 from cognilog.errors import SourceTargetMismatchError, TooLargeError
 from cognilog.model import SENTINELS, Action, Kind, Participant, build_elog
 from cognilog.search import (
@@ -160,6 +162,94 @@ def test_partial_search_allows_unmapped_objects():
     best, _ = results[0]
     assert best.action_map == {"exploded": "explodes", "was_near": "is_near"}
     assert "looked" not in best.action_map
+
+
+def _partial_oracle(e, s):
+    """Map key of every partial functor that the rules admit, with whether
+    it is surjective, by enumeration: each e-action to an s-action or to
+    nothing, each e-participant to an s-participant or to nothing.  The one
+    shortcut is the who equation's: a participant performing a mapped
+    action goes to the image's performer when that is a participant."""
+    e_m, s_m = adjacency(e), adjacency(s)
+    e_parts = [p.id for p in e.nonsentinel_participants]
+    s_parts = [p.id for p in s.nonsentinel_participants]
+    found = {}
+    for images in itertools.product(
+        [None, *(a.id for a in s.nonsentinel_actions)],
+        repeat=len(e.nonsentinel_actions),
+    ):
+        amap = {a.id: y for a, y in zip(e.nonsentinel_actions, images) if y}
+        forced = {}
+        for x, y in amap.items():
+            p, q = e.action_by_id[x].who, s.action_by_id[y].who
+            if p in e_parts and q in s_parts:
+                forced.setdefault(p, q)
+        free = [p for p in e_parts if p not in forced]
+        for choice in itertools.product([None, *s_parts], repeat=len(free)):
+            pmap = {**forced, **{p: q for p, q in zip(free, choice) if q}}
+            r = evaluate_conversion(e_m, s_m, amap, pmap)
+            if r.is_function and all(r.hard_checks()):
+                found[Functor(e.id, s.id, amap, pmap).map_key()] = r.surjective
+    return found
+
+
+def test_partial_search_matches_enumeration():
+    rng = random.Random(97)
+    nonempty = 0
+    for i in range(120):
+        e = random_elog(rng, max_actions=4, log_id="e")
+        s = random_elog(rng, max_actions=4, slog=True, log_id="s")
+        if i % 3 == 0:
+            e, s = nominalize(rng, e), nominalize(rng, s)
+        oracle = _partial_oracle(e, s)
+        for surjective in (False, True):
+            cfg = SearchConfig(
+                max_candidates=10**6, require_surjective=surjective,
+                require_injective=False,
+            )
+            found = [f.map_key() for f, _ in search_functors(e, s, EMPTY, cfg)]
+            assert len(found) == len(set(found)), f"pair {i}"
+            assert set(found) == {
+                key for key, onto in oracle.items() if onto or not surjective
+            }, f"pair {i}"
+            nonempty += bool(found)
+    assert nonempty >= 100, nonempty
+
+
+@pytest.mark.parametrize(
+    "surjective, injective", [(True, True), (False, False), (True, False)]
+)
+def test_search_scores_equal_one_shot_scores(surjective, injective):
+    # the search decides and scores the action side once per action map;
+    # every result must equal the functor scored and evaluated from scratch
+    rng = random.Random(59)
+    checked = 0
+    for i in range(40):
+        e = random_elog(rng, max_actions=5, log_id="e")
+        s = random_elog(rng, max_actions=5) if i % 2 else e
+        if i % 3 == 0:
+            e, s = nominalize(rng, e), nominalize(rng, s)
+        s = _prefixed_copy(s)
+        b = BeLog(tuple(
+            BeRelation(f"r{x}{y}", BeVerbType.SIMILAR, x, y,
+                       rng.choice((0.2, 0.5, 0.8, 1.0)))
+            for x in sorted(e.object_ids() - SENTINELS)
+            for y in sorted(s.object_ids() - SENTINELS)
+            if rng.random() < 0.7
+        ))
+        e_m, s_m = adjacency(e), adjacency(s)
+        for floor in (0.0, 0.5):
+            cfg = SearchConfig(
+                max_candidates=50, min_compatibility=floor,
+                require_surjective=surjective, require_injective=injective,
+            )
+            for f, score in search_functors(e, s, b, cfg):
+                assert score == score_functor(f, e, s, b, cfg), f"pair {i}"
+                assert score.report == evaluate_conversion(
+                    e_m, s_m, f.action_map, f.participant_map
+                ), f"pair {i}"
+                checked += 1
+    assert checked >= 25, checked
 
 
 # -- natural transformations ----------------------------------------------

@@ -144,12 +144,20 @@ def test_labels_with_quotes_and_line_breaks_are_escaped():
 def test_store_load_save_identity(tmp_path):
     store = load(FIXTURES)
     assert "robot" in store.logs and "worker" in store.logs
-    assert store.index["robot"][0] == "elog"
-    assert store.index["worker"][0] == "slog"
+    assert store.index["robot.elog"][:2] == ("elog", "robot")
+    assert store.index["worker.slog"][:2] == ("slog", "worker")
     assert any(r.type == BeVerbType.BE3 for r in store.belog.relations)
     save(store, tmp_path)
     for src in ALL_FIXTURES:
         assert (tmp_path / src.name).read_bytes() == src.read_bytes()
+
+
+def test_store_indexes_every_fixture_file():
+    # robot.elog and robot.belog (blast.slog and blast.belog) share a name
+    store = load(FIXTURES)
+    assert sorted(store.index) == [p.name for p in ALL_FIXTURES]
+    for name, (kind, key, _) in store.index.items():
+        assert name == key + "." + kind
 
 
 def test_belog_endpoint_with_a_quote_is_a_parse_error():
