@@ -1,7 +1,7 @@
 """Boolean logical-matrix kernel for functor evaluation.
 
 Matrices live over the Boolean semiring (1+1=1).  Rows are bit-packed into
-Python ints, so OR/AND/matmul are word-parallel.  The cause matrices S and N
+Python ints, so OR/AND are word-parallel.  The cause matrices S and N
 are strictly triangular under the canonical causal-topological order, and
 the functor equations compare their transitive closures conjugated through
 the conversion matrices P_S and P_E.
@@ -10,8 +10,9 @@ the conversion matrices P_S and P_E.
 iterative Tarjan pass finds the strongly connected components (the
 trivial-pair masks close cycles), and each component's row is the OR of its
 successors' bits and rows in reverse topological order (Purdom 1970; Nuutila
-1995).  ``causal_closure_with_stats`` keeps the Boolean power series, summed
-by repeated squaring, as the referee the kernel is tested against.
+1995).  The Boolean power series, summed by repeated squaring, is the
+referee the kernel is tested against; it lives beside the tests
+(``tests/matrix_reference.py``).
 
 ``evaluate_conversion`` does not build P_S and P_E.  Both are functions, so
 conjugating a closure through P_S relabels its entries and the who equation
@@ -90,9 +91,6 @@ class BoolMatrix:
     def set(self, i: int, j: int) -> None:
         self.rows[i] |= 1 << j
 
-    def set_ids(self, row_id: str, col_id: str) -> None:
-        self.set(self.row_ids.index(row_id), self.col_ids.index(col_id))
-
     def entries(self) -> Iterator[tuple[int, int]]:
         for i, bits in enumerate(self.rows):
             for j in _bits(bits):
@@ -107,21 +105,6 @@ class BoolMatrix:
             raise DimensionMismatchError(f"OR of {self.shape} and {other.shape}")
         out = BoolMatrix(self.row_ids, self.col_ids)
         out.rows = [a | b for a, b in zip(self.rows, other.rows)]
-        return out
-
-    def __matmul__(self, other: "BoolMatrix") -> "BoolMatrix":
-        if len(self.col_ids) != len(other.row_ids):
-            raise DimensionMismatchError(
-                f"matmul of {self.shape} and {other.shape}"
-            )
-        out = BoolMatrix(self.row_ids, other.col_ids)
-        for i, bits in enumerate(self.rows):
-            acc = 0
-            while bits:
-                low = bits & -bits
-                acc |= other.rows[low.bit_length() - 1]
-                bits ^= low
-            out.rows[i] = acc
         return out
 
     def transpose(self) -> "BoolMatrix":
@@ -304,7 +287,7 @@ def causal_closure(m: BoolMatrix, allow_cycles: bool = False) -> BoolMatrix:
     Each component gets one row: its external successors and their rows,
     already final, ORed together; a component of several members, or one
     with a self-loop, also reaches its own members.  The rows equal the
-    power series of ``causal_closure_with_stats``, the referee.  Without
+    Boolean power series, the referee in ``tests/matrix_reference.py``.  Without
     ``allow_cycles`` an action that reaches itself raises
     ``NotTriangularError``.
     """
@@ -374,37 +357,22 @@ def causal_closure(m: BoolMatrix, allow_cycles: bool = False) -> BoolMatrix:
     return BoolMatrix(m.row_ids, m.col_ids, out)
 
 
-def causal_closure_with_stats(
-    m: BoolMatrix, allow_cycles: bool = False
-) -> tuple[BoolMatrix, int]:
-    """Boolean power-series sum of m (paths of length >= 1) plus the number of
-    productive squaring rounds.
+# Every functor sends each sentinel to itself; an object map names only the
+# other objects, and these self-maps complete it.
+_SENTINEL_ACTION_MAP = {sid: sid for sid in sorted(SENTINEL_ACTIONS)}
+_SENTINEL_PARTICIPANT_MAP = {SENTINEL_NOBODY: SENTINEL_NOBODY}
 
-    A strictly triangular matrix is nilpotent, so the series is finite; with
-    ``allow_cycles`` the fixed point is still reached (Boolean monotonicity)
-    and diagonal entries are tolerated, as needed for trivial-pair masks.
-    """
-    if m.row_ids != m.col_ids:
-        raise DimensionMismatchError("closure requires a square matrix")
-    n = len(m.row_ids)
-    reach = BoolMatrix(m.row_ids, m.col_ids)
-    reach.rows = list(m.rows)
-    iterations = 0
-    cap = max(n, 1)
-    while True:
-        nxt = reach | (reach @ reach)
-        if nxt.rows == reach.rows:
-            break
-        reach = nxt
-        iterations += 1
-        if iterations > cap:  # unreachable; guards the invariant
-            raise NotTriangularError("closure failed to reach a fixed point")
-    if not allow_cycles and any(reach.get(i, i) for i in range(n)):
-        bad = [m.row_ids[i] for i in range(n) if reach.get(i, i)]
-        raise NotTriangularError(
-            "cycle among non-sentinel actions: " + ", ".join(bad)
-        )
-    return reach, iterations
+
+def _with_sentinels(
+    mapping: dict[str, str], sentinels: dict[str, str]
+) -> dict[str, str]:
+    """The map completed by the sentinel self-maps it does not override.  Its
+    own entries stay first, so an unknown id among them is the one
+    ``index_map`` names."""
+    full = dict(mapping)
+    for x, y in sentinels.items():
+        full.setdefault(x, y)
+    return full
 
 
 def conversion_pair(
@@ -415,19 +383,19 @@ def conversion_pair(
 ) -> ConversionPair:
     """Build P_S/P_E from object maps; sentinel images are forced.  Raises
     ``UnknownObjectError`` naming an id that either log lacks."""
+    f = index_map(
+        _with_sentinels(action_map, _SENTINEL_ACTION_MAP),
+        e.action_index, s.action_index,
+    )
+    g = index_map(
+        _with_sentinels(participant_map, _SENTINEL_PARTICIPANT_MAP),
+        e.participant_index, s.participant_index,
+    )
     P_S = BoolMatrix.zeros(s.action_ids, e.action_ids)
     P_E = BoolMatrix.zeros(s.participant_ids, e.participant_ids)
-    full_amap = dict(action_map)
-    for sid in SENTINEL_ACTIONS:
-        full_amap.setdefault(sid, sid)
-    full_pmap = dict(participant_map)
-    full_pmap.setdefault(SENTINEL_NOBODY, SENTINEL_NOBODY)
-    for m, mapping in ((P_S, full_amap), (P_E, full_pmap)):
-        for src, dst in mapping.items():
-            for oid, ids in ((src, m.col_ids), (dst, m.row_ids)):
-                if oid not in ids:
-                    raise UnknownObjectError(f"unknown object {oid!r}")
-            m.set_ids(dst, src)
+    for m, h in ((P_S, f), (P_E, g)):
+        for u, hu in h.items():
+            m.set(hu, u)
     return ConversionPair(P_S, P_E)
 
 
@@ -474,10 +442,10 @@ def _check_actions(
     """Both causal equations of the action map.  Neither reads the
     participant map, so a search decides them once per action map and skips
     every participant completion of a map that fails one."""
-    full_amap = dict(action_map)
-    for sid in SENTINEL_ACTIONS:
-        full_amap.setdefault(sid, sid)
-    f = index_map(full_amap, e.action_index, s.action_index)
+    f = index_map(
+        _with_sentinels(action_map, _SENTINEL_ACTION_MAP),
+        e.action_index, s.action_index,
+    )
 
     domain = image = 0
     for u, fu in f.items():
@@ -508,9 +476,10 @@ def _check_participants(
     """The full report: ``actions`` completed by the rules that read the
     participant map (the zero-column rule, the who equation and the
     coverage of both maps)."""
-    full_pmap = dict(participant_map)
-    full_pmap.setdefault(SENTINEL_NOBODY, SENTINEL_NOBODY)
-    g = index_map(full_pmap, e.participant_index, s.participant_index)
+    g = index_map(
+        _with_sentinels(participant_map, _SENTINEL_PARTICIPANT_MAP),
+        e.participant_index, s.participant_index,
+    )
     f, image = actions.f, actions.image
 
     part_domain = hit_parts = 0

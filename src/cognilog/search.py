@@ -99,14 +99,12 @@ def identity_functor(log: ELog) -> Functor:
 
 
 def score_functor(
-    functor: Functor, e: ELog, s: ELog, b: BeLog, cfg: SearchConfig,
-    report: Optional[CompletenessReport] = None,
+    functor: Functor, e: ELog, s: ELog, b: BeLog, cfg: SearchConfig
 ) -> Score:
     """Deterministic score: structure, temporal consistency, similarity."""
-    if report is None:
-        report = evaluate_conversion(
-            adjacency(e), adjacency(s), functor.action_map, functor.participant_map
-        )
+    report = evaluate_conversion(
+        adjacency(e), adjacency(s), functor.action_map, functor.participant_map
+    )
     return _score(functor, e, s, b, cfg, report, *_action_terms(functor, e, s, b))
 
 
@@ -211,24 +209,29 @@ def _participant_completions(
 
 
 def brute_force_functors(e: ELog, s: ELog, cfg: SearchConfig) -> list[Functor]:
-    """Oracle: enumerate every total action map and keep the admissible ones.
+    """Oracle: enumerate every action map and keep the admissible functors.
 
-    Guarded to small logs; intended for tests and verification runs.
+    Each e-action goes to each s-action in turn; when totality is not
+    required (``require_injective`` off) it may also go to nothing, and
+    leftover participants may stay unmapped.  Guarded to small logs;
+    intended for tests and verification runs.
     """
     e_actions = [a.id for a in e.nonsentinel_actions]
     s_actions = [a.id for a in s.nonsentinel_actions]
     if len(e_actions) > 8 or len(s_actions) > 8:
         raise TooLargeError("brute force is limited to 8 actions per side")
     e_m, s_m = adjacency(e), adjacency(s)
+    partial = not cfg.require_injective
+    options: list[Optional[str]] = list(s_actions)
+    if partial:
+        options.append(None)
     found: list[Functor] = []
-    if not s_actions and e_actions:
-        return []
-    for images in itertools.product(s_actions, repeat=len(e_actions)):
-        amap = dict(zip(e_actions, images))
+    for images in itertools.product(options, repeat=len(e_actions)):
+        amap = {x: y for x, y in zip(e_actions, images) if y is not None}
         base = _forced_pmap(e, s, amap)
         if base is None:
             continue
-        for pmap in _participant_completions(e, s, base, allow_partial=False):
+        for pmap in _participant_completions(e, s, base, allow_partial=partial):
             report = evaluate_conversion(e_m, s_m, amap, pmap)
             if _admissible(report, cfg):
                 found.append(

@@ -235,6 +235,21 @@ def format_belog(b: BeLog) -> str:
 _EXTENSIONS = (".elog", ".slog", ".belog")
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of the file; a byte that is not UTF-8 is a
+    ``ParseError`` at its line and column, counted as the parser counts."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; "x" stands for the bad
+        # byte, so a line break just before it still opens a new line
+        lines = (data[: exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(
+            f"byte 0x{data[exc.start]:02x} is not UTF-8", len(lines), len(lines[-1])
+        ) from None
+
+
 @dataclass
 class Store:
     """Directory of log files with an in-memory index (file name -> type,
@@ -247,9 +262,6 @@ class Store:
     belogs: dict[str, BeLog] = field(default_factory=dict)
     index: dict[str, tuple[str, str, float]] = field(default_factory=dict)
 
-    def get(self, log_id: str) -> ELog:
-        return self.logs[log_id]
-
     @property
     def belog(self) -> BeLog:
         relations: list[BeRelation] = []
@@ -260,15 +272,16 @@ class Store:
 
 def load(path: str | os.PathLike) -> Store:
     """Read every log and be-log file directly inside the directory; two
-    log files with the same id raise ``DuplicateIdError`` naming both."""
+    log files with the same id raise ``DuplicateIdError`` naming both.
+    Subdirectories are skipped, whatever their names."""
     root = Path(path)
     store = Store(root=root)
     file_of: dict[str, str] = {}  # log id -> file name
     for file in sorted(root.iterdir()) if root.is_dir() else []:
-        if file.suffix not in _EXTENSIONS:
+        if file.suffix not in _EXTENSIONS or not file.is_file():
             continue
-        text = file.read_text(encoding="utf-8")
         try:
+            text = _read_text(file)
             if file.suffix == ".belog":
                 store.belogs[file.stem] = parse_belog(text)
                 store.index[file.name] = ("belog", file.stem, file.stat().st_mtime)
@@ -314,7 +327,7 @@ def _resolve(name: str, suffixes: tuple[str, ...], parse):
         paths += [Path(env) / f"{name}{ext}" for ext in suffixes]
     for p in paths:
         if p.exists():
-            return parse(p.read_text(encoding="utf-8"))
+            return parse(_read_text(p))
     raise FileNotFoundError(name)
 
 

@@ -1,22 +1,74 @@
-"""Matrix-form completeness rules: the referee for ``evaluate_conversion``.
+"""Matrix-form referees: the rules ``evaluate_conversion`` and the closure
+kernel are tested against.
 
 Each rule of the paper's Boolean functor equations is computed here from the
-adjacency matrices and the conversion matrices P_S/P_E, with matrix products
-and column masks; the closures come from the power series
+adjacency matrices and the conversion matrices P_S/P_E, with Boolean matrix
+products and column masks; the closures come from the power series
 ``causal_closure_with_stats``, not from the ``causal_closure`` kernel.
 ``cognilog.boolmat.evaluate_conversion`` computes the same report by
-relabelling the per-log index; the tests compare the two.
+relabelling the per-log index, and ``cognilog.boolmat.causal_closure`` the
+same closure in one graph pass; the tests compare each with its referee.
 """
 
 from __future__ import annotations
 
-from cognilog.boolmat import (
-    BoolMatrix,
-    CauseMatrices,
-    ConversionPair,
-    causal_closure_with_stats,
-)
+from cognilog.boolmat import BoolMatrix, CauseMatrices, ConversionPair
+from cognilog.errors import DimensionMismatchError, NotTriangularError
 from cognilog.model import SENTINEL_ACTIONS, SENTINEL_NOBODY
+
+
+def bool_product(first: BoolMatrix, *rest: BoolMatrix) -> BoolMatrix:
+    """Product of the factors over the Boolean semiring (1+1=1), left to
+    right; inner dimensions must agree."""
+    out = first
+    for other in rest:
+        if len(out.col_ids) != len(other.row_ids):
+            raise DimensionMismatchError(
+                f"matmul of {out.shape} and {other.shape}"
+            )
+        rows = []
+        for bits in out.rows:
+            acc = 0
+            while bits:
+                low = bits & -bits
+                acc |= other.rows[low.bit_length() - 1]
+                bits ^= low
+            rows.append(acc)
+        out = BoolMatrix(out.row_ids, other.col_ids, rows)
+    return out
+
+
+def causal_closure_with_stats(
+    m: BoolMatrix, allow_cycles: bool = False
+) -> tuple[BoolMatrix, int]:
+    """Boolean power-series sum of m (paths of length >= 1) plus the number of
+    productive squaring rounds.
+
+    A strictly triangular matrix is nilpotent, so the series is finite; with
+    ``allow_cycles`` the fixed point is still reached (Boolean monotonicity)
+    and diagonal entries are tolerated, as needed for trivial-pair masks.
+    """
+    if m.row_ids != m.col_ids:
+        raise DimensionMismatchError("closure requires a square matrix")
+    n = len(m.row_ids)
+    reach = BoolMatrix(m.row_ids, m.col_ids)
+    reach.rows = list(m.rows)
+    iterations = 0
+    cap = max(n, 1)
+    while True:
+        nxt = reach | bool_product(reach, reach)
+        if nxt.rows == reach.rows:
+            break
+        reach = nxt
+        iterations += 1
+        if iterations > cap:  # unreachable; guards the invariant
+            raise NotTriangularError("closure failed to reach a fixed point")
+    if not allow_cycles and any(reach.get(i, i) for i in range(n)):
+        bad = [m.row_ids[i] for i in range(n) if reach.get(i, i)]
+        raise NotTriangularError(
+            "cycle among non-sentinel actions: " + ", ".join(bad)
+        )
+    return reach, iterations
 
 
 def column_mask(m: BoolMatrix, j: int) -> int:
@@ -65,7 +117,7 @@ def _one_causal_equation(
     closure_s, _ = causal_closure_with_stats(C_s | tri_s, allow_cycles=True)
     ident = BoolMatrix.identity(s_ids)
     lhs = closure_s | ident
-    rhs = (P_S @ closure_e @ P_S.transpose()) | ident
+    rhs = bool_product(P_S, closure_e, P_S.transpose()) | ident
     image = _image_indices(P_S)
     mismatches = [
         (s_ids[i], s_ids[j])
@@ -81,7 +133,7 @@ def check_who_equation(
 ) -> tuple[bool, tuple[tuple[str, str], ...]]:
     """Converted who arrows must coincide with the s-log's on every mapped
     action column."""
-    converted = p.P_E @ e.E @ p.P_S.transpose()
+    converted = bool_product(p.P_E, e.E, p.P_S.transpose())
     image = _image_indices(p.P_S)
     mismatches = []
     for j in sorted(image):
@@ -110,7 +162,7 @@ def check_function_rules(
         column_mask(p.P_E, j).bit_count() <= 1 for j in range(len(e.participant_ids))
     )
 
-    converted_who = p.P_E @ e.E
+    converted_who = bool_product(p.P_E, e.E)
     zero_ok = all(
         column_mask(p.P_S, j) == 0
         for j in range(len(e.action_ids))

@@ -25,7 +25,7 @@ from cognilog.belog import (
 from cognilog.boolmat import (
     BoolMatrix,
     adjacency,
-    causal_closure_with_stats,
+    causal_closure,
     evaluate_conversion,
 )
 from cognilog.cli import main
@@ -47,6 +47,7 @@ from cognilog.temporal import (
 )
 
 from conftest import FIXTURES, load_belog, load_log, random_elog
+from matrix_reference import causal_closure_with_stats
 
 
 @contextmanager
@@ -149,6 +150,7 @@ def test_criterion_05_closure_against_dfs():
                         seen.add(v)
                         oracle.set(s0, v)
                         stack.extend(adj[v])
+            assert causal_closure(m) == oracle
             assert closure == oracle
             assert iterations <= max(n - 1, 0)
 

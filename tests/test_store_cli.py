@@ -199,6 +199,32 @@ def test_store_empty_dir(tmp_path):
     assert store.logs == {} and store.belog.relations == ()
 
 
+def test_load_skips_subdirectories(tmp_path):
+    for name in ("x.elog", "x.slog", "x.belog"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "a.elog").write_text("#ELOG a\n")
+    store = load(tmp_path)
+    assert list(store.logs) == ["a"] and store.belogs == {}
+    assert list(store.index) == ["a.elog"]
+
+
+@pytest.mark.parametrize(
+    "data, line, column",
+    [
+        (b'#ELOG bad\nP p label="\xff"\n', 2, 12),
+        (b"#ELOG bad\r\n\xff\n", 2, 1),
+        (b"#ELOG bad\nP p label=\xc3\xa9\xfe\n", 2, 12),  # columns count characters
+    ],
+)
+def test_load_reports_a_byte_that_is_not_utf8(tmp_path, data, line, column):
+    (tmp_path / "bad.elog").write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load(tmp_path)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert err.value.message.startswith("bad.elog: byte 0x")
+    assert err.value.message.endswith(" is not UTF-8")
+
+
 # -- CLI -------------------------------------------------------------------
 
 
@@ -232,6 +258,22 @@ def test_load_prefixes_parse_errors_with_the_file_name(tmp_path):
         load(tmp_path)
     assert str(err.value) == "line 2, column 11: bad.elog: unknown key 'foo'"
     assert (err.value.line, err.value.column) == (2, 11)
+
+
+def test_cli_reports_a_byte_that_is_not_utf8(tmp_path, capsys):
+    log = tmp_path / "bad.elog"
+    log.write_bytes(b'#ELOG bad\nP p label="\xff"\n')
+    assert main(["validate", str(log)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error at line 2, column 12: byte 0xff is not UTF-8\n"
+    belog = tmp_path / "bad.belog"
+    belog.write_bytes(b"B Similar a b\r\nB Similar \xc3\xa9 \xfe\n")
+    argv = ["match", _fx("robot.elog"), _fx("worker.slog"), "--belog", str(belog)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error at line 2, column 13: byte 0xfe is not UTF-8\n"
 
 
 def test_cli_unreadable_log_path_is_an_error(capsys):
