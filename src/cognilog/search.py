@@ -9,6 +9,7 @@ thin-category reachability test decides natural transformations.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,7 +106,9 @@ def score_functor(
     report = evaluate_conversion(
         adjacency(e), adjacency(s), functor.action_map, functor.participant_map
     )
-    return _score(functor, e, s, b, cfg, report, *_action_terms(functor, e, s, b))
+    temporal, compat = _action_terms(functor, e, s, b)
+    coverage, similarity = _coverage_similarity(functor, e, s, b, compat)
+    return _score(cfg, report, temporal, coverage, similarity)
 
 
 def _action_terms(
@@ -118,19 +121,17 @@ def _action_terms(
     return temporal, compat
 
 
-def _score(
-    functor: Functor, e: ELog, s: ELog, b: BeLog, cfg: SearchConfig,
-    report: CompletenessReport, temporal: float, action_compat: list[float],
-) -> Score:
-    """The score from its action terms (``_action_terms``) and the terms
-    that read the participant map too."""
-    hard = report.hard_checks()
+def _coverage_similarity(
+    functor: Functor, e: ELog, s: ELog, b: BeLog, action_compat: list[float]
+) -> tuple[float, float]:
+    """The score terms that read the participant map too and not the
+    completeness report: the coverage factor of the structural term and
+    the similarity."""
     n_e = len(e.nonsentinel_actions) + len(e.nonsentinel_participants)
     n_s = len(s.nonsentinel_actions) + len(s.nonsentinel_participants)
     mapped = len(functor.action_map) + len(functor.participant_map)
     hit = len(functor.image_objects() - SENTINELS)
     coverage = 1.0 if n_e + n_s == 0 else (mapped + hit) / (n_e + n_s)
-    structural = (sum(hard) / len(hard)) * coverage
 
     # one sum over the action pairs, then the participant pairs: sum()
     # compensates from Python 3.12 on, so a sum continued from the action
@@ -139,8 +140,25 @@ def _score(
         mapping_compatibility(b, x, y) for x, y in functor.participant_map.items()
     ]
     similarity = 1.0 if not compat else sum(compat) / len(compat)
+    return coverage, similarity
+
+
+def _total(
+    cfg: SearchConfig, structural: float, temporal: float, similarity: float
+) -> float:
     w1, w2, w3 = cfg.weights
-    total = w1 * structural + w2 * temporal + w3 * similarity
+    return w1 * structural + w2 * temporal + w3 * similarity
+
+
+def _score(
+    cfg: SearchConfig, report: CompletenessReport, temporal: float,
+    coverage: float, similarity: float,
+) -> Score:
+    """The score from its terms: the structural term is the share of hard
+    checks that pass times the coverage factor."""
+    hard = report.hard_checks()
+    structural = (sum(hard) / len(hard)) * coverage
+    total = _total(cfg, structural, temporal, similarity)
     return Score(structural, temporal, similarity, total, report)
 
 
@@ -251,6 +269,15 @@ def search_functors(
     object maps is not required (require_injective off), actions and leftover
     participants may stay unmapped, which yields the partial functors used by
     inference.
+
+    Only the first ``k = cfg.max_candidates`` results are returned.  Once k
+    are found, a participant completion is skipped unchecked when its total
+    with the structural term replaced by its coverage factor is strictly
+    below the k-th best total so far.  That bound is exact (the structural
+    term is a fraction of the factor, the weights are non-negative and
+    rounding is monotone), so a skipped completion could not have ranked,
+    ties at the k-th total are kept, and results, scores and order are those
+    of the unbounded search.
     """
     e_m, s_m = adjacency(e), adjacency(s)
     e_actions = [a for a in e_m.action_ids if a not in SENTINEL_ACTIONS]
@@ -286,6 +313,8 @@ def search_functors(
     # each action map is visited once and its participant completions are
     # distinct, so no result repeats
     results: list[tuple[Functor, Score]] = []
+    # the k best totals so far, smallest first (see the docstring)
+    k, best = cfg.max_candidates, []
 
     def consistent_with(
         x: str, y: str, amap: dict[str, str]
@@ -309,19 +338,40 @@ def search_functors(
         if not (actions.causal_eq_S_ok and actions.causal_eq_N_ok):
             return
         terms = None
-        for full_pmap in _participant_completions(
-            e, s, pmap, allow_partial=not cfg.require_injective,
-            targets_filter=compat_ok,
-        ):
-            report = _check_participants(e_m, s_m, actions, full_pmap)
-            if not _admissible(report, cfg):
-                continue
+
+        def score_parts(full_pmap: dict[str, str]):
+            # the functor and the score terms that need no report
+            nonlocal terms
             functor = Functor(
                 src=e.id, dst=s.id, action_map=dict(amap), participant_map=full_pmap
             )
             if terms is None:
                 terms = _action_terms(functor, e, s, b)
-            results.append((functor, _score(functor, e, s, b, cfg, report, *terms)))
+            coverage, similarity = _coverage_similarity(functor, e, s, b, terms[1])
+            return functor, terms[0], coverage, similarity
+
+        for full_pmap in _participant_completions(
+            e, s, pmap, allow_partial=not cfg.require_injective,
+            targets_filter=compat_ok,
+        ):
+            parts = None
+            if len(best) == k:
+                # structural = (share of hard checks) * coverage <= coverage,
+                # and rounding is monotone, so this bounds the total exactly
+                parts = score_parts(full_pmap)
+                _, temporal, coverage, similarity = parts
+                if _total(cfg, coverage, temporal, similarity) < best[0]:
+                    continue
+            report = _check_participants(e_m, s_m, actions, full_pmap)
+            if not _admissible(report, cfg):
+                continue
+            functor, temporal, coverage, similarity = parts or score_parts(full_pmap)
+            score = _score(cfg, report, temporal, coverage, similarity)
+            results.append((functor, score))
+            if len(best) < k:
+                heapq.heappush(best, score.total)
+            else:
+                heapq.heappushpop(best, score.total)
 
     def backtrack(i: int, amap: dict[str, str], pmap: dict[str, str]) -> None:
         if i == len(e_actions):
@@ -348,7 +398,7 @@ def search_functors(
     backtrack(0, {}, {})
 
     ranked = sorted(results, key=lambda fs: (-fs[1].total, fs[0].map_key()))
-    return ranked[: cfg.max_candidates]
+    return ranked[:k]
 
 
 # -- natural transformations ----------------------------------------------

@@ -319,14 +319,15 @@ def save(store: Store, path: str | os.PathLike | None = None) -> None:
 
 
 def _resolve(name: str, suffixes: tuple[str, ...], parse):
-    """Parse the file at path ``name``, or else the first existing
-    ``$COGNILOG_STORE/<name><suffix>``."""
+    """Parse the file at path ``name``, or else the first existing file
+    ``$COGNILOG_STORE/<name><suffix>``; directories are skipped, as in
+    ``load``."""
     paths = [Path(name)]
     env = os.environ.get("COGNILOG_STORE")
     if env:
         paths += [Path(env) / f"{name}{ext}" for ext in suffixes]
     for p in paths:
-        if p.exists():
+        if p.is_file():
             return parse(_read_text(p))
     raise FileNotFoundError(name)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import cognilog.search as search_module
 from cognilog.belog import BeLog, BeRelation, BeVerbType, mapping_compatibility
 from cognilog.boolmat import adjacency, evaluate_conversion
 from cognilog.errors import SourceTargetMismatchError, TooLargeError
@@ -116,6 +117,18 @@ def _prefixed_copy(log):
     return build_elog("s", actions, parts, slog=True)
 
 
+def _random_belog(rng, e, s, p):
+    """Similar edges of random weight between distinct objects of e and s,
+    each with probability p."""
+    return BeLog(tuple(
+        BeRelation(f"r{x}{y}", BeVerbType.SIMILAR, x, y,
+                   rng.choice((0.2, 0.5, 0.8, 1.0)))
+        for x in sorted(e.object_ids() - SENTINELS)
+        for y in sorted(s.object_ids() - SENTINELS)
+        if x != y and rng.random() < p
+    ))
+
+
 def test_compatibility_floor_matches_filtered_brute_force():
     # the oracle knows no be-log: the search must return exactly its
     # functors whose every object pair clears the floor
@@ -124,13 +137,7 @@ def test_compatibility_floor_matches_filtered_brute_force():
     for i in range(200):
         e = random_elog(rng, max_actions=5, log_id="e")
         s = _prefixed_copy(e)
-        e_objs = sorted(e.object_ids() - SENTINELS)
-        s_objs = sorted(s.object_ids() - SENTINELS)
-        b = BeLog(tuple(
-            BeRelation(f"r{x}{y}", BeVerbType.SIMILAR, x, y,
-                       rng.choice((0.2, 0.5, 0.8, 1.0)))
-            for x in e_objs for y in s_objs if rng.random() < 0.6
-        ))
+        b = _random_belog(rng, e, s, 0.6)
         floor = (0.0, 0.5, 0.8)[i % 3]
         cfg = SearchConfig(max_candidates=10**6, min_compatibility=floor)
         found = {f.map_key() for f, _ in search_functors(e, s, b, cfg)}
@@ -200,13 +207,7 @@ def test_search_scores_equal_one_shot_scores(surjective, injective):
         if i % 3 == 0:
             e, s = nominalize(rng, e), nominalize(rng, s)
         s = _prefixed_copy(s)
-        b = BeLog(tuple(
-            BeRelation(f"r{x}{y}", BeVerbType.SIMILAR, x, y,
-                       rng.choice((0.2, 0.5, 0.8, 1.0)))
-            for x in sorted(e.object_ids() - SENTINELS)
-            for y in sorted(s.object_ids() - SENTINELS)
-            if rng.random() < 0.7
-        ))
+        b = _random_belog(rng, e, s, 0.7)
         e_m, s_m = adjacency(e), adjacency(s)
         for floor in (0.0, 0.5):
             cfg = SearchConfig(
@@ -220,6 +221,60 @@ def test_search_scores_equal_one_shot_scores(surjective, injective):
                 ), f"pair {i}"
                 checked += 1
     assert checked >= 25, checked
+
+
+def test_top_k_search_equals_ranked_oracle():
+    # the search skips completions whose score bound cannot reach the k-th
+    # best total so far; its first k results must still be the oracle's,
+    # each scored one-shot and ranked by (-total, map_key).  Every other
+    # pair has the empty be-log, whose equal similarities tie totals.
+    rng = random.Random(41)
+    ties = {1: 0, 2: 0, 3: 0}
+    for i in range(150):
+        e = random_elog(rng, max_actions=4, log_id="e")
+        s = random_elog(rng, max_actions=3, slog=True, log_id="s")
+        if i % 3 == 0:
+            e, s = nominalize(rng, e), nominalize(rng, s)
+        b = EMPTY if i % 2 else _random_belog(rng, e, s, 0.5)
+        for surjective in (True, False):
+            for injective in (True, False):
+                cfg = SearchConfig(
+                    require_surjective=surjective, require_injective=injective
+                )
+                oracle = sorted(
+                    ((f, score_functor(f, e, s, b, cfg))
+                     for f in brute_force_functors(e, s, cfg)),
+                    key=lambda fs: (-fs[1].total, fs[0].map_key()),
+                )
+                for k in (1, 2, 3):
+                    found = search_functors(e, s, b, replace(cfg, max_candidates=k))
+                    expected = oracle[:k]
+                    assert [(f.map_key(), sc) for f, sc in found] == [
+                        (f.map_key(), sc) for f, sc in expected
+                    ], f"pair {i}, k={k}"
+                    if len(oracle) > k and oracle[k - 1][1].total == oracle[k][1].total:
+                        ties[k] += 1
+    assert min(ties.values()) >= 20, ties
+
+
+def test_top_k_bound_skips_participant_checks(monkeypatch):
+    calls = []
+    check = search_module._check_participants
+    monkeypatch.setattr(
+        search_module, "_check_participants",
+        lambda *args: calls.append(1) or check(*args),
+    )
+    rng = random.Random(5)
+    e = random_elog(rng, max_actions=5, log_id="e")
+    s = _prefixed_copy(e)
+    b = _random_belog(rng, e, s, 0.7)
+    cfg = SearchConfig(require_surjective=False, require_injective=False)
+    first = search_functors(e, s, b, replace(cfg, max_candidates=1))
+    pruned = len(calls)
+    calls.clear()
+    everything = search_functors(e, s, b, replace(cfg, max_candidates=10**6))
+    assert pruned < len(calls), (pruned, len(calls))
+    assert first == everything[:1]
 
 
 # -- natural transformations ----------------------------------------------

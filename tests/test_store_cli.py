@@ -471,6 +471,22 @@ def test_cli_env_store_resolution(tmp_path, monkeypatch, capsys):
     assert main(["validate", "bob_alice"]) == 0
 
 
+def test_store_resolution_skips_directories(tmp_path, monkeypatch, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "x.elog").mkdir()
+    (store / "x.slog").write_text((FIXTURES / "worker.slog").read_text())
+    (store / "y.elog").mkdir()
+    (store / "y.slog").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COGNILOG_STORE", str(store))
+    assert main(["validate", "x"]) == 0
+    assert main(["validate", "y"]) == 1
+    assert main(["validate", "store"]) == 1
+    err = capsys.readouterr().err
+    assert "Is a directory" not in err
+
+
 def test_bare_ids_resolve_through_the_store(monkeypatch):
     monkeypatch.setenv("COGNILOG_STORE", str(FIXTURES))
     assert resolve_belog("robot") == load_belog("robot.belog")
